@@ -18,14 +18,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import (BenchmarkSet, IdMap, graph_stats, ingest_ratings,
-                    load_benchmark, write_ratings_csv)
+from .graph import (FORMATS, GENERIC_CSV, BenchmarkSet, IdMap, graph_stats,
+                    ingest_ratings, load_benchmark, write_ratings_csv)
 from .metrics import (quality_ranks, ranking_score,
                       reputation_error_correlation, top_fraction_benchmark)
 from .projection import ProjectionParams, project_graph
 from .ranking import ALGORITHMS, RankingConfig, rank
-from .sweep import (DEFAULT_BENCHMARK_FRACTION, RealSource, SweepGrid,
-                    SynthSource, compare_table, find_optimum, run_sweep)
+from .sweep import (DEFAULT_BENCHMARK_FRACTION, DEFAULT_GRID_STEP,
+                    DEFAULT_REALIZATIONS, RealSource, SweepGrid, SynthSource,
+                    compare_table, find_optimum, run_sweep)
 from .synth import (CASES, SynthSpec, generate_network, read_truth,
                     write_truth)
 
@@ -271,7 +272,7 @@ def cmd_sweep(args) -> int:
         source = SynthSource(_synth_spec(args, args.synth_case),
                              benchmark_fraction=args.benchmark_fraction)
         n = (args.realizations if args.realizations is not None
-             else 10)
+             else DEFAULT_REALIZATIONS)
     p1s = (args.fix_p1,) if args.fix_p1 is not None else None
     p2s = (args.fix_p2,) if args.fix_p2 is not None else None
 
@@ -374,32 +375,41 @@ def _add_common(p):
     p.add_argument("--verbose", action="store_true")
 
 
+# Flag defaults are read from the dataclass field defaults they feed.
+
 def _add_projection(p):
-    p.add_argument("--p1", type=float, default=0.5,
+    p.add_argument("--p1", type=float, default=ProjectionParams.p1,
                    help="projection parameter for rating 2")
-    p.add_argument("--p2", type=float, default=0.5,
+    p.add_argument("--p2", type=float, default=ProjectionParams.p2,
                    help="projection parameter for rating 4")
 
 
 def _add_ranking(p):
-    p.add_argument("--algorithm", choices=ALGORITHMS, default="rr")
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--epsilon", type=float, default=1e-8)
-    p.add_argument("--theta", type=float, default=5.0)
-    p.add_argument("--delta", type=float, default=1e-4)
-    p.add_argument("--max-iter", type=int, default=1000)
+    p.add_argument("--algorithm", choices=ALGORITHMS,
+                   default=RankingConfig.algorithm)
+    p.add_argument("--beta", type=float, default=RankingConfig.beta)
+    p.add_argument("--epsilon", type=float, default=RankingConfig.epsilon)
+    p.add_argument("--theta", type=float, default=RankingConfig.theta)
+    p.add_argument("--delta", type=float, default=RankingConfig.delta)
+    p.add_argument("--max-iter", type=int,
+                   default=RankingConfig.max_iterations)
+
+
+def _add_network(p):
+    """Synthetic network size, spam and seed flags."""
+    p.add_argument("--users", type=int, default=SynthSpec.num_users)
+    p.add_argument("--items", type=int, default=SynthSpec.num_items)
+    p.add_argument("--links", type=int, default=SynthSpec.num_links)
+    p.add_argument("--spam-p", type=float, default=SynthSpec.spam_fraction)
+    p.add_argument("--seed", type=int, default=SynthSpec.seed)
 
 
 def _add_source(p):
     p.add_argument("--ratings", help="ratings file (real data source)")
-    p.add_argument("--format", choices=("csv", "movielens"), default="csv")
+    p.add_argument("--format", choices=FORMATS, default=GENERIC_CSV)
     p.add_argument("--synth-case", type=int, choices=CASES,
                    help="synthetic data source: discretization case")
-    p.add_argument("--users", type=int, default=6000)
-    p.add_argument("--items", type=int, default=4000)
-    p.add_argument("--links", type=int, default=480_000)
-    p.add_argument("--spam-p", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    _add_network(p)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -410,18 +420,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", help="parse and normalize a ratings file")
     p.add_argument("--ratings", required=True)
-    p.add_argument("--format", choices=("csv", "movielens"), default="csv")
+    p.add_argument("--format", choices=FORMATS, default=GENERIC_CSV)
     p.add_argument("--out", default="ratings.csv")
     _add_common(p)
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("synth", help="generate a synthetic rating network")
-    p.add_argument("--users", type=int, default=6000)
-    p.add_argument("--items", type=int, default=4000)
-    p.add_argument("--links", type=int, default=480_000)
-    p.add_argument("--case", type=int, choices=CASES, default=0)
-    p.add_argument("--spam-p", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    _add_network(p)
+    p.add_argument("--case", type=int, choices=CASES, default=SynthSpec.case)
     p.add_argument("--out-ratings", default="ratings.csv")
     p.add_argument("--out-truth", default="truth.json")
     _add_common(p)
@@ -453,9 +459,9 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_source(p)
     _add_ranking(p)
     p.add_argument("--metric", choices=tuple(_METRIC_ALIASES), default="rs")
-    p.add_argument("--grid-step", type=float, default=0.05)
+    p.add_argument("--grid-step", type=float, default=DEFAULT_GRID_STEP)
     p.add_argument("--realizations", type=int, default=None,
-                   help="default 10 synthetic, 1 real")
+                   help=f"default {DEFAULT_REALIZATIONS} synthetic, 1 real")
     p.add_argument("--fix-p1", type=float, default=None,
                    help="freeze p1 (1-D slice over p2)")
     p.add_argument("--fix-p2", type=float, default=None,

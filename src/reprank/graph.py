@@ -9,8 +9,7 @@ per-user and per-item aggregations are both cheap.
 from __future__ import annotations
 
 import dataclasses
-import io
-import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, TextIO
@@ -35,6 +34,15 @@ class IngestError(ValueError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+class DuplicatePairError(ValueError):
+    """A (user, item) pair occurs twice. Carries the pair's dense indices."""
+
+    def __init__(self, user: int, item: int):
+        super().__init__(f"duplicate (user, item) pair: ({user}, {item})")
+        self.user = user
+        self.item = item
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,9 +97,7 @@ class RatingGraph:
             same = (users[1:] == users[:-1]) & (items[1:] == items[:-1])
             if same.any():
                 k = int(np.flatnonzero(same)[0])
-                raise ValueError(
-                    f"duplicate (user, item) pair: ({users[k]}, {items[k]})"
-                )
+                raise DuplicatePairError(int(users[k]), int(items[k]))
 
         user_ptr = np.zeros(num_users + 1, dtype=np.int64)
         np.cumsum(np.bincount(users, minlength=num_users), out=user_ptr[1:])
@@ -236,11 +242,15 @@ def graph_stats(graph: RatingGraph) -> GraphStats:
     )
 
 
-def _open_text(source: str | Path | TextIO):
-    """Returns (stream, needs_close)."""
+@contextmanager
+def _open_text(source: str | Path | TextIO, mode: str = "r"):
+    """Opens a path as UTF-8 text, or passes an open stream through
+    without closing it."""
     if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8"), True
-    return source, False
+        with open(source, mode, encoding="utf-8") as stream:
+            yield stream
+    else:
+        yield source
 
 
 def _iter_records(stream: TextIO, fmt: str) -> Iterator[tuple[int, str, str, str]]:
@@ -270,8 +280,8 @@ def ingest_ratings(source: str | Path | TextIO, fmt: str = GENERIC_CSV) -> Inges
     (`UserID::MovieID::Rating::Timestamp`, timestamp ignored).
 
     External ids are opaque strings mapped to dense indices in order of
-    first appearance. Duplicate (user, item) records and ratings outside
-    [1, 5] are errors.
+    first appearance. A file without rating records, duplicate (user, item)
+    records and ratings outside [1, 5] are errors.
     """
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
@@ -282,8 +292,7 @@ def ingest_ratings(source: str | Path | TextIO, fmt: str = GENERIC_CSV) -> Inges
     items: list[int] = []
     ratings: list[float] = []
 
-    stream, needs_close = _open_text(source)
-    try:
+    with _open_text(source) as stream:
         first = True
         for lineno, uid, iid, rtext in _iter_records(stream, fmt):
             if first and fmt == GENERIC_CSV:
@@ -306,29 +315,19 @@ def ingest_ratings(source: str | Path | TextIO, fmt: str = GENERIC_CSV) -> Inges
             users.append(u)
             items.append(i)
             ratings.append(rating)
-    finally:
-        if needs_close:
-            stream.close()
 
+    if not ratings:
+        raise IngestError("no ratings found")
     user_map = IdMap.from_ids(user_index)
     item_map = IdMap.from_ids(item_index)
-
-    u_arr = np.asarray(users, dtype=np.int64)
-    i_arr = np.asarray(items, dtype=np.int64)
-    if u_arr.size > 1:
-        order = np.lexsort((i_arr, u_arr))
-        same = (u_arr[order][1:] == u_arr[order][:-1]) & (
-            i_arr[order][1:] == i_arr[order][:-1]
-        )
-        if same.any():
-            k = int(np.flatnonzero(same)[0])
-            u, i = u_arr[order][k], i_arr[order][k]
-            raise IngestError(
-                f"duplicate (user, item) pair: "
-                f"({user_map.external(u)!r}, {item_map.external(i)!r})"
-            )
-
-    graph = RatingGraph.build(len(user_map), len(item_map), u_arr, i_arr, ratings)
+    try:
+        graph = RatingGraph.build(len(user_map), len(item_map),
+                                  users, items, ratings)
+    except DuplicatePairError as exc:
+        raise IngestError(
+            f"duplicate (user, item) pair: ({user_map.external(exc.user)!r}, "
+            f"{item_map.external(exc.item)!r})"
+        ) from None
     return IngestResult(graph, user_map, item_map)
 
 
@@ -343,12 +342,7 @@ def write_ratings_csv(
 
     Without id maps, dense indices are written as the external ids.
     """
-    stream, needs_close = (
-        (open(dest, "w", encoding="utf-8"), True)
-        if isinstance(dest, (str, Path))
-        else (dest, False)
-    )
-    try:
+    with _open_text(dest, "w") as stream:
         for line in header_lines:
             stream.write(f"# {line}\n")
         stream.write("user_id,item_id,rating\n")
@@ -356,9 +350,6 @@ def write_ratings_csv(
             uid = user_map.external(int(u)) if user_map else str(int(u))
             iid = item_map.external(int(i)) if item_map else str(int(i))
             stream.write(f"{uid},{iid},{float(r)!r}\n")
-    finally:
-        if needs_close:
-            stream.close()
 
 
 def load_benchmark(source: str | Path | TextIO, item_map: IdMap) -> BenchmarkLoad:
@@ -367,10 +358,9 @@ def load_benchmark(source: str | Path | TextIO, item_map: IdMap) -> BenchmarkLoa
     Ids not present in the graph's item map are skipped and counted;
     an all-unknown or empty file is an error.
     """
-    stream, needs_close = _open_text(source)
     resolved: set[int] = set()
     skipped = 0
-    try:
+    with _open_text(source) as stream:
         for raw in stream:
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -380,9 +370,6 @@ def load_benchmark(source: str | Path | TextIO, item_map: IdMap) -> BenchmarkLoa
                 skipped += 1
             else:
                 resolved.add(idx)
-    finally:
-        if needs_close:
-            stream.close()
     if not resolved:
         raise ValueError("empty benchmark set")
     return BenchmarkLoad(BenchmarkSet(frozenset(resolved)), skipped)

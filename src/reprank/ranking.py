@@ -10,10 +10,13 @@ Four methods share one synchronous fixed-point schedule:
         rater reputation, capped at 1), a log-degree damping factor, and a
         nonlinear redistribution of reputation mass with exponent theta
 
-Iteration alternates a full quality update (from the previous reputations)
-with a full reputation update (from the new qualities) and stops when the
-mean squared change of the quality vector drops below delta. Items nobody
-rated keep a NaN quality sentinel and are excluded from the residual.
+ir, cr and rr share one loop, `_fixed_point`. Each iteration weights the
+ratings by the previous reputations into item qualities (an item whose
+raters all carry zero reputation keeps its plain mean), then calls the
+algorithm's step(q, rep) -> (q, rep), which may adjust the qualities (rr's
+penalty) and returns the new reputations. Iteration stops when `residual`,
+the mean squared change of the quality vector, drops below delta. Items
+nobody rated keep a NaN quality sentinel, which the residual ignores.
 """
 
 from __future__ import annotations
@@ -37,20 +40,14 @@ class RankingConfig:
     max_iterations: int = 1000
 
     def __post_init__(self):
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(
-                f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}"
-            )
-        if not self.beta >= 0:
-            raise ValueError("beta must be >= 0")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be > 0")
-        if not self.theta > 0:
-            raise ValueError("theta must be > 0")
-        if not self.delta > 0:
-            raise ValueError("delta must be > 0")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        _require(self.algorithm in ALGORITHMS,
+                 f"unknown algorithm {self.algorithm!r}; "
+                 f"expected one of {ALGORITHMS}")
+        _require(self.beta >= 0, "beta must be >= 0")
+        _require(self.epsilon > 0, "epsilon must be > 0")
+        _require(self.theta > 0, "theta must be > 0")
+        _require(self.delta > 0, "delta must be > 0")
+        _require(self.max_iterations >= 1, "max_iterations must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -63,21 +60,19 @@ class RankingResult:
 
 
 def residual(q_new: np.ndarray, q_old: np.ndarray) -> float:
-    """Mean squared difference between consecutive quality vectors."""
+    """Mean squared difference between consecutive quality vectors.
+
+    Entries that are NaN in both vectors (the unrated-item sentinel)
+    contribute zero but still count in the mean.
+    """
     q_new = np.asarray(q_new, dtype=np.float64)
     q_old = np.asarray(q_old, dtype=np.float64)
-    if q_new.shape != q_old.shape or q_new.ndim != 1:
-        raise ValueError("quality vectors must be 1-D of equal length")
+    _require(q_new.shape == q_old.shape and q_new.ndim == 1,
+             "quality vectors must be 1-D of equal length")
     if q_new.size == 0:
         return 0.0
-    d = q_new - q_old
+    d = (q_new - q_old)[~(np.isnan(q_new) & np.isnan(q_old))]
     return float(np.sum(d * d) / q_new.size)
-
-
-def _masked_residual(q_new, q_old, rated, num_items):
-    # unrated entries hold a constant NaN sentinel; they contribute zero
-    d = q_new[rated] - q_old[rated]
-    return float(np.sum(d * d) / num_items) if num_items else 0.0
 
 
 def _require(cond: bool, message: str) -> None:
@@ -85,28 +80,21 @@ def _require(cond: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def rank_mean(graph: RatingGraph) -> RankingResult:
-    """Quality = arithmetic mean rating; every reputation is 1."""
-    counts = graph.item_degrees.astype(np.float64)
+def _plain_mean(graph):
+    """Mean rating per item, NaN where unrated."""
+    counts = graph.item_degrees
     sums = np.bincount(graph.items, weights=graph.ratings,
                        minlength=graph.num_items)
     q = np.full(graph.num_items, np.nan)
-    rated = counts > 0
-    q[rated] = sums[rated] / counts[rated]
-    return RankingResult(
-        reputations=np.ones(graph.num_users),
-        qualities=q,
-        iterations_used=1,
-        converged=True,
-        final_residual=0.0,
-    )
+    np.divide(sums, counts, out=q, where=counts > 0)
+    return q
 
 
-def _weighted_quality(graph, rep, plain_mean, rated):
-    """Reputation-weighted mean rating per item.
+def _weighted_quality(graph, rep, plain_mean):
+    """Reputation-weighted mean rating per item, NaN where unrated.
 
     Items whose raters carry zero total reputation fall back to the plain
-    mean for this step. Returns (q, weight_sums).
+    mean for this step.
     """
     w = rep[graph.users]
     wtot = np.bincount(graph.items, weights=w, minlength=graph.num_items)
@@ -115,18 +103,44 @@ def _weighted_quality(graph, rep, plain_mean, rated):
     q = plain_mean.copy()
     pos = wtot > 0
     q[pos] = wsum[pos] / wtot[pos]
-    q[~rated] = np.nan
-    return q, wtot
+    return q
 
 
-def _plain_mean(graph):
-    counts = graph.item_degrees.astype(np.float64)
-    sums = np.bincount(graph.items, weights=graph.ratings,
-                       minlength=graph.num_items)
-    rated = counts > 0
-    q = np.full(graph.num_items, np.nan)
-    q[rated] = sums[rated] / counts[rated]
-    return q, rated
+def rank_mean(graph: RatingGraph) -> RankingResult:
+    """Quality = arithmetic mean rating; every reputation is 1."""
+    return RankingResult(
+        reputations=np.ones(graph.num_users),
+        qualities=_plain_mean(graph),
+        iterations_used=1,
+        converged=True,
+        final_residual=0.0,
+    )
+
+
+def _fixed_point(graph, cfg, rep, step, trace=None) -> RankingResult:
+    """The schedule shared by ir, cr and rr.
+
+    Starting from the reputations `rep`, each iteration computes the
+    reputation-weighted qualities q from the previous reputations, then
+    calls step(q, rep), which returns this iteration's (qualities,
+    reputations). Iteration stops once the residual between consecutive
+    qualities drops below cfg.delta, or after cfg.max_iterations; with a
+    single iteration the residual is unknown (inf). `trace`, if given,
+    collects (qualities, reputations) copies.
+    """
+    plain_mean = _plain_mean(graph)
+    res = float("inf")
+    for iterations in range(1, cfg.max_iterations + 1):
+        q = _weighted_quality(graph, rep, plain_mean)
+        q, rep = step(q, rep)
+        if trace is not None:
+            trace.append((q.copy(), rep.copy()))
+        if iterations > 1:
+            res = residual(q, q_prev)
+            if res < cfg.delta:
+                return RankingResult(rep, q, iterations, True, res)
+        q_prev = q
+    return RankingResult(rep, q, iterations, False, res)
 
 
 def rank_ir(graph: RatingGraph, config: RankingConfig | None = None) -> RankingResult:
@@ -134,32 +148,15 @@ def rank_ir(graph: RatingGraph, config: RankingConfig | None = None) -> RankingR
     cfg = config or RankingConfig(algorithm="ir")
     _require(not (graph.user_degrees == 0).any(),
              "ir requires every user to have rated at least one item")
-
     k_user = graph.user_degrees.astype(np.float64)
-    plain_mean, rated = _plain_mean(graph)
-    num_items = graph.num_items
 
-    rep = np.ones(graph.num_users)
-    q_prev = None
-    q = plain_mean
-    res = float("inf")
-    converged = False
-    iterations = 0
-
-    for iterations in range(1, cfg.max_iterations + 1):
-        q, _ = _weighted_quality(graph, rep, plain_mean, rated)
+    def step(q, _):
         d = graph.ratings - q[graph.items]
         mse = np.bincount(graph.users, weights=d * d,
                           minlength=graph.num_users) / k_user
-        rep = (mse + cfg.epsilon) ** (-cfg.beta)
-        if q_prev is not None:
-            res = _masked_residual(q, q_prev, rated, num_items)
-            if res < cfg.delta:
-                converged = True
-                break
-        q_prev = q
+        return q, (mse + cfg.epsilon) ** (-cfg.beta)
 
-    return RankingResult(rep, q, iterations, converged, res)
+    return _fixed_point(graph, cfg, np.ones(graph.num_users), step)
 
 
 def _degenerate_users(graph, q):
@@ -201,11 +198,14 @@ def _pearson_by_user(graph, q):
     return corr
 
 
-def _validate_cr_rr(graph: RatingGraph) -> None:
+def _correlation_start(graph: RatingGraph) -> np.ndarray:
+    """Checks the cr/rr preconditions; returns the initial reputations,
+    each user's degree over the item count."""
     _require(not (graph.user_degrees == 0).any(),
              "every user must have rated at least one item")
     _require(not (graph.item_degrees == 0).any(),
              "every item must have at least one rating")
+    return graph.user_degrees / graph.num_items
 
 
 def rank_cr(
@@ -217,37 +217,17 @@ def rank_cr(
     """Correlation-based ranking: reputation is the clamped Pearson match
     between a user's ratings and the current item qualities.
 
-    Kept as its own plain loop rather than delegating to rank_rr so the
-    claimed degeneracy (rr with both factors off and theta 1) stays a
-    cross-check between two code paths.
+    Kept as its own step rather than delegating to rank_rr so the claimed
+    degeneracy (rr with both factors off and theta 1) stays a cross-check
+    between two code paths.
     """
     cfg = config or RankingConfig(algorithm="cr")
-    _validate_cr_rr(graph)
+    rep0 = _correlation_start(graph)
 
-    plain_mean, rated = _plain_mean(graph)
-    num_items = graph.num_items
-    rep = graph.user_degrees / num_items if num_items else np.zeros(0)
-    rep = rep.astype(np.float64)
+    def step(q, _):
+        return q, np.maximum(_pearson_by_user(graph, q), 0.0)
 
-    q_prev = None
-    q = plain_mean
-    res = float("inf")
-    converged = False
-    iterations = 0
-
-    for iterations in range(1, cfg.max_iterations + 1):
-        q, _ = _weighted_quality(graph, rep, plain_mean, rated)
-        rep = np.maximum(_pearson_by_user(graph, q), 0.0)
-        if trace is not None:
-            trace.append((q.copy(), rep.copy()))
-        if q_prev is not None:
-            res = _masked_residual(q, q_prev, rated, num_items)
-            if res < cfg.delta:
-                converged = True
-                break
-        q_prev = q
-
-    return RankingResult(rep, q, iterations, converged, res)
+    return _fixed_point(graph, cfg, rep0, step, trace)
 
 
 def rank_rr(
@@ -272,64 +252,39 @@ def rank_rr(
     `trace` collects per-iteration (qualities, reputations) copies.
     """
     cfg = config or RankingConfig(algorithm="rr")
-    _validate_cr_rr(graph)
+    rep0 = _correlation_start(graph)
 
-    plain_mean, rated = _plain_mean(graph)
-    num_items = graph.num_items
-    rep = graph.user_degrees / num_items if num_items else np.zeros(0)
-    rep = rep.astype(np.float64)
-
+    damping = np.ones(graph.num_users)
     if use_damping:
         logk = np.log10(graph.user_degrees.astype(np.float64))
         top = logk.max() if logk.size else 0.0
         damping = logk / top if top > 0 else np.zeros_like(logk)
-    else:
-        damping = None
 
     item_starts = graph.item_ptr[:-1]
     users_by_item = graph.users[graph.by_item]
 
-    q_prev = None
-    q = plain_mean
-    res = float("inf")
-    converged = False
-    iterations = 0
-
-    for iterations in range(1, cfg.max_iterations + 1):
-        q, wtot = _weighted_quality(graph, rep, plain_mean, rated)
+    def step(q, rep):
         if use_penalty:
-            # scale only where the weighted mean applied; fallback items
-            # already hold the plain mean
+            # scale only where the weighted mean applied: reputations are
+            # non-negative, so a zero top rater reputation means zero total
+            # weight and the item already holds its plain-mean fallback
             penalty = np.maximum.reduceat(rep[users_by_item], item_starts)
+            pos = penalty > 0
             np.minimum(penalty, 1.0, out=penalty)
-            pos = wtot > 0
             q[pos] *= penalty[pos]
 
-        trust = np.maximum(_pearson_by_user(graph, q), 0.0)
-        if damping is not None:
-            trust *= damping
+        trust = np.maximum(_pearson_by_user(graph, q), 0.0) * damping
         powered = trust ** cfg.theta
         mass = powered.sum()
         rep = powered * (trust.sum() / mass) if mass > 0 else np.zeros_like(trust)
+        return q, rep
 
-        if trace is not None:
-            trace.append((q.copy(), rep.copy()))
-        if q_prev is not None:
-            res = _masked_residual(q, q_prev, rated, num_items)
-            if res < cfg.delta:
-                converged = True
-                break
-        q_prev = q
-
-    return RankingResult(rep, q, iterations, converged, res)
+    return _fixed_point(graph, cfg, rep0, step, trace)
 
 
 def rank(graph: RatingGraph, config: RankingConfig) -> RankingResult:
     """Dispatch on config.algorithm."""
     if config.algorithm == "mean":
         return rank_mean(graph)
-    if config.algorithm == "ir":
-        return rank_ir(graph, config)
-    if config.algorithm == "cr":
-        return rank_cr(graph, config)
-    return rank_rr(graph, config)
+    rankers = {"ir": rank_ir, "cr": rank_cr, "rr": rank_rr}
+    return rankers[config.algorithm](graph, config)

@@ -20,7 +20,7 @@ from .metrics import (ranking_score, reputation_error_correlation,
                       top_fraction_benchmark)
 from .projection import ProjectionParams, project_graph
 from .ranking import RankingConfig, rank
-from .synth import SynthSpec, SynthTruth, generate_network
+from .synth import SynthSpec, generate_network
 
 METRICS = ("rs", "correlation")
 

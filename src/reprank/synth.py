@@ -16,7 +16,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .graph import RatingGraph
+from .graph import RatingGraph, _open_text
 
 CASES = (0, 1, 2, 3, 4)
 
@@ -256,19 +256,13 @@ def write_truth(truth: SynthTruth, dest: str | Path | TextIO) -> None:
         "intrinsic_quality": truth.intrinsic_quality.tolist(),
         "error_magnitude": truth.error_magnitude.tolist(),
     }
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
-    else:
-        json.dump(payload, dest)
+    with _open_text(dest, "w") as fh:
+        json.dump(payload, fh)
 
 
 def read_truth(source: str | Path | TextIO) -> SynthTruth:
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = source.read()
+    with _open_text(source) as fh:
+        text = fh.read()
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:

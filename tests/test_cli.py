@@ -75,6 +75,16 @@ def test_ingest_error_paths(tmp_path, capsys):
     assert "error:" in err and "line 1" in err
 
 
+def test_rank_rejects_file_without_ratings(tmp_path, capsys):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("# no data yet\nuser_id,item_id,rating\n")
+    for algorithm in ("mean", "rr"):
+        rc = main(["rank", "--ratings", str(empty), "--algorithm", algorithm,
+                   "--outdir", str(tmp_path)])
+        assert rc == 1
+        assert "error: no ratings found" in capsys.readouterr().err
+
+
 def test_rank_outputs_sorted_items(tmp_path):
     items = tmp_path / "items.csv"
     users = tmp_path / "users.csv"

@@ -147,6 +147,12 @@ def test_ingest_errors_carry_line_numbers():
         ingest_ratings(io.StringIO(""), fmt="tsv")
 
 
+def test_ingest_rejects_input_without_ratings():
+    for text in ("", "# only a comment\n", "user_id,item_id,rating\n\n"):
+        with pytest.raises(IngestError, match="no ratings found"):
+            ingest_ratings(io.StringIO(text))
+
+
 def test_csv_round_trip(tmp_path):
     g, users, items = ingest_ratings(io.StringIO(CSV))
     out = tmp_path / "ratings.csv"

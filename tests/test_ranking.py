@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nets import random_bipartite
-from oracle import oracle_rr
+from oracle import oracle_ir, oracle_rr
 from reprank.graph import RatingGraph
 from reprank.ranking import (RankingConfig, rank, rank_cr, rank_ir, rank_mean,
                              rank_rr, residual)
@@ -30,6 +30,8 @@ def test_residual():
     assert residual([1.0, 2.0], [1.0, 2.0]) == 0.0
     assert residual([1.0, 3.0], [2.0, 1.0]) == pytest.approx(2.5)
     assert residual([], []) == 0.0
+    # NaN in both vectors is the unrated sentinel: zero weight, still counted
+    assert residual([1.0, math.nan], [2.0, math.nan]) == 0.5
     with pytest.raises(ValueError):
         residual([1.0], [1.0, 2.0])
 
@@ -155,6 +157,19 @@ def test_quality_bounds():
     assert (res.reputations >= 0).all()
 
 
+def assert_matches_oracle(res, oracle, g, **kwargs):
+    """Same iteration count and convergence flag as the plain-Python
+    reference, values within 1e-12 scaled by 1 + |reference|."""
+    links = list(zip(g.users.tolist(), g.items.tolist(), g.ratings.tolist()))
+    oq, orep, iterations, converged, _ = oracle(links, g.num_users,
+                                                g.num_items, **kwargs)
+    assert res.iterations_used == iterations
+    assert res.converged == converged
+    for got, want in ((res.qualities, oq), (res.reputations, orep)):
+        want = np.asarray(want)
+        assert np.max(np.abs(got - want) / (1.0 + np.abs(want))) <= 1e-12
+
+
 def test_rr_matches_oracle_where_penalty_cap_binds():
     rng = np.random.default_rng(19)
     g = random_bipartite(rng)
@@ -165,14 +180,27 @@ def test_rr_matches_oracle_where_penalty_cap_binds():
     # redistribution at theta=5 pushes some reputation above 1, so the
     # cap on the penalty factor is exercised
     assert max(rep.max() for _, rep in tr) > 1.0
-    links = list(zip(g.users.tolist(), g.items.tolist(), g.ratings.tolist()))
-    oq, orep, iterations, _, _ = oracle_rr(links, g.num_users, g.num_items,
-                                           theta=5.0, delta=1e-30,
-                                           max_iterations=50)
-    assert res.iterations_used == iterations
-    for got, want in ((res.qualities, oq), (res.reputations, orep)):
-        want = np.asarray(want)
-        assert np.max(np.abs(got - want) / (1.0 + np.abs(want))) <= 1e-12
+    assert_matches_oracle(res, oracle_rr, g, theta=5.0, delta=1e-30,
+                          max_iterations=50)
+
+
+def test_ir_matches_oracle():
+    rng = np.random.default_rng(21)
+    cfg = RankingConfig(algorithm="ir", delta=1e-8, max_iterations=200)
+    for _ in range(40):
+        g = random_bipartite(rng)
+        assert_matches_oracle(rank_ir(g, cfg), oracle_ir, g,
+                              delta=1e-8, max_iterations=200)
+
+
+def test_cr_matches_stripped_rr_oracle():
+    rng = np.random.default_rng(22)
+    cfg = RankingConfig(algorithm="cr", delta=1e-8, max_iterations=200)
+    for _ in range(40):
+        g = random_bipartite(rng)
+        assert_matches_oracle(rank_cr(g, cfg), oracle_rr, g, theta=1.0,
+                              delta=1e-8, max_iterations=200,
+                              use_penalty=False, use_damping=False)
 
 
 def test_trace_collects_iterations():
