@@ -1,10 +1,11 @@
 """Command-line entry point.
 
 Subcommands: ingest, synth, rank, eval, sweep, table. Every output file is
-written atomically (temp file then rename) and starts with a `# config:`
-comment echoing the fully resolved flag set, which suffices to reproduce
-the file. All randomness flows from --seed; there are no hidden entropy
-sources, so identical invocations produce byte-identical artifacts.
+written atomically (temp file then rename). All but synth's truth JSON
+start with a `# config:` comment echoing the fully resolved flag set,
+which suffices to reproduce the file. All randomness flows from --seed;
+there are no hidden entropy sources, so identical invocations produce
+byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -12,13 +13,14 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from .graph import (FORMATS, GENERIC_CSV, BenchmarkSet, IdMap, graph_stats,
+from .graph import (FORMATS, GENERIC_CSV, BenchmarkSet, IdMap,
                     ingest_ratings, load_benchmark, write_ratings_csv)
 from .metrics import (quality_ranks, ranking_score,
                       reputation_error_correlation, top_fraction_benchmark)
@@ -27,10 +29,14 @@ from .ranking import ALGORITHMS, RankingConfig, rank
 from .sweep import (DEFAULT_BENCHMARK_FRACTION, DEFAULT_GRID_STEP,
                     DEFAULT_REALIZATIONS, RealSource, SweepGrid, SynthSource,
                     compare_table, find_optimum, run_sweep)
-from .synth import (CASES, SynthSpec, generate_network, read_truth,
-                    write_truth)
+from .synth import (CASES, SynthSpec, SynthTruth, generate_network,
+                    read_truth, write_truth)
 
 _METRIC_ALIASES = {"rs": "rs", "corr": "correlation"}
+
+# the sweep file's second line, `# tag=... algorithm=... metric=... n=...`;
+# a tag is a file stem or `case<n>` and may hold spaces
+_SWEEP_META = re.compile(r"# tag=(.*) algorithm=(\S+) metric=(\S+) n=(\d+)")
 
 
 def _say(args, message):
@@ -38,22 +44,14 @@ def _say(args, message):
         print(message, file=sys.stderr)
 
 
-def _outdir(args) -> Path:
-    d = Path(args.outdir)
-    d.mkdir(parents=True, exist_ok=True)
-    return d
-
-
 def _out_path(args, name: str) -> Path:
     p = Path(name)
-    return p if p.is_absolute() else _outdir(args) / p
+    return p if p.is_absolute() else Path(args.outdir) / p
 
 
-def _config_line(args, command: str) -> str:
+def _config_line(args) -> str:
     cfg = {k: v for k, v in vars(args).items()
-           if k not in ("func",) and v is not None}
-    cfg = {k: (str(v) if isinstance(v, Path) else v) for k, v in cfg.items()}
-    cfg["command"] = command
+           if k != "func" and v is not None}
     return "config: " + json.dumps(cfg, sort_keys=True)
 
 
@@ -70,6 +68,19 @@ def _atomic_write(path: Path, write_body) -> None:
         except OSError:
             pass
         raise
+
+
+def _write_stamped(args, name: str, write_body) -> None:
+    """Writes output `name` atomically: the `# config:` line, then the
+    body; prints `wrote <path>`."""
+    path = _out_path(args, name)
+
+    def write(fh):
+        fh.write(f"# {_config_line(args)}\n")
+        write_body(fh)
+
+    _atomic_write(path, write)
+    print(f"wrote {path}")
 
 
 def _ranking_config(args) -> RankingConfig:
@@ -105,14 +116,12 @@ def _check_source(parser, args) -> None:
 def _load_source(args):
     """Returns (graph, user_map, item_map, truth); maps/truth may be None."""
     if args.ratings is not None:
-        result = ingest_ratings(args.ratings, args.format)
+        graph, user_map, item_map = ingest_ratings(args.ratings, args.format)
         truth = None
         if getattr(args, "truth", None):
-            truth = _align_truth(read_truth(args.truth),
-                                 result.user_map, result.item_map)
-        return result.graph, result.user_map, result.item_map, truth
-    spec = _synth_spec(args, args.synth_case)
-    graph, truth = generate_network(spec)
+            truth = _align_truth(read_truth(args.truth), user_map, item_map)
+        return graph, user_map, item_map, truth
+    graph, truth = generate_network(_synth_spec(args, args.synth_case))
     return graph, None, None, truth
 
 
@@ -121,19 +130,21 @@ def _align_truth(truth, user_map: IdMap, item_map: IdMap):
 
     Works when external ids are the stringified indices a synth run wrote,
     which is the only case where a truth file can accompany a ratings file.
+    Any other id (`-1`, `01`, `a`) is an error.
     """
-    from .synth import SynthTruth
-    try:
-        item_src = [int(item_map.external(j)) for j in range(len(item_map))]
-        user_src = [int(user_map.external(i)) for i in range(len(user_map))]
-    except ValueError:
-        raise ValueError("truth alignment requires integer external ids "
-                         "(ratings written by the synth command)") from None
+    def indices(id_map: IdMap) -> np.ndarray:
+        if not all(ext.isdecimal() and str(int(ext)) == ext
+                   for ext in id_map.ids):
+            raise ValueError("truth alignment requires integer external ids "
+                             "(ratings written by the synth command)")
+        return np.array([int(ext) for ext in id_map.ids])
+
+    item_src, user_src = indices(item_map), indices(user_map)
     q = truth.intrinsic_quality
     e = truth.error_magnitude
-    if max(item_src) >= q.size or max(user_src) >= e.size:
+    if item_src.max() >= q.size or user_src.max() >= e.size:
         raise ValueError("truth file does not cover the ratings file")
-    return SynthTruth(q[np.asarray(item_src)], e[np.asarray(user_src)])
+    return SynthTruth(q[item_src], e[user_src])
 
 
 def _resolve_benchmark(args, item_map, truth) -> BenchmarkSet:
@@ -153,36 +164,39 @@ def _resolve_benchmark(args, item_map, truth) -> BenchmarkSet:
 # ----------------------------------------------------------------- commands
 
 def cmd_ingest(args) -> int:
-    result = ingest_ratings(args.ratings, args.format)
-    stats = graph_stats(result.graph)
-    out = _out_path(args, args.out)
-    _atomic_write(out, lambda fh: write_ratings_csv(
-        result.graph, fh, result.user_map, result.item_map,
-        header_lines=[_config_line(args, "ingest")]))
-    print(f"users={stats.num_users} items={stats.num_items} "
-          f"links={stats.num_links} sparsity={stats.sparsity:.6f}")
-    print(f"wrote {out}")
+    graph, user_map, item_map = ingest_ratings(args.ratings, args.format)
+    print(f"users={graph.num_users} items={graph.num_items} "
+          f"links={graph.num_links} sparsity={graph.sparsity:.6f}")
+    _write_stamped(args, args.out, lambda fh: write_ratings_csv(
+        graph, fh, user_map, item_map))
     return 0
 
 
 def cmd_synth(args) -> int:
-    spec = _synth_spec(args, args.case)
-    graph, truth = generate_network(spec)
-    ratings_path = _out_path(args, args.out_ratings)
+    graph, truth = generate_network(_synth_spec(args, args.case))
+    print(f"users={graph.num_users} items={graph.num_items} "
+          f"links={graph.num_links}")
+    _write_stamped(args, args.out_ratings,
+                   lambda fh: write_ratings_csv(graph, fh))
+    # JSON has no comments; the ratings file beside it carries the config
     truth_path = _out_path(args, args.out_truth)
-    header = [_config_line(args, "synth")]
-    _atomic_write(ratings_path, lambda fh: write_ratings_csv(
-        graph, fh, header_lines=header))
     _atomic_write(truth_path, lambda fh: write_truth(truth, fh))
-    stats = graph_stats(graph)
-    print(f"users={stats.num_users} items={stats.num_items} "
-          f"links={stats.num_links}")
-    print(f"wrote {ratings_path}")
     print(f"wrote {truth_path}")
     return 0
 
 
-def _ranked_rows(graph, qualities, item_map):
+def _rank_projected(args, graph):
+    """Ranks `graph` under the --p1/--p2 projection."""
+    cfg = _ranking_config(args)
+    result = rank(project_graph(graph, ProjectionParams(args.p1, args.p2)),
+                  cfg)
+    _say(args, f"{cfg.algorithm}: iterations={result.iterations_used} "
+               f"converged={result.converged} "
+               f"residual={result.final_residual:.3e}")
+    return result
+
+
+def _ranked_rows(qualities, item_map):
     ranks = quality_ranks(qualities)
     order = np.argsort(ranks, kind="stable")
     for j in order:
@@ -192,47 +206,32 @@ def _ranked_rows(graph, qualities, item_map):
 
 def cmd_rank(args) -> int:
     graph, user_map, item_map, _ = _load_source(args)
-    cfg = _ranking_config(args)
-    projected = project_graph(graph, ProjectionParams(args.p1, args.p2))
-    result = rank(projected, cfg)
-    _say(args, f"{cfg.algorithm}: iterations={result.iterations_used} "
-               f"converged={result.converged} "
-               f"residual={result.final_residual:.3e}")
-
-    header = _config_line(args, "rank")
-    items_path = _out_path(args, args.out_items)
-    users_path = _out_path(args, args.out_users)
+    result = _rank_projected(args, graph)
+    if not result.converged:
+        print(f"warning: not converged after {result.iterations_used} "
+              f"iterations (residual {result.final_residual:.3e})",
+              file=sys.stderr)
 
     def write_items(fh):
-        fh.write(f"# {header}\n")
         fh.write("item_id,quality,rank\n")
-        for ext, q, r in _ranked_rows(projected, result.qualities, item_map):
+        for ext, q, r in _ranked_rows(result.qualities, item_map):
             fh.write(f"{ext},{float(q)!r},{float(r)!r}\n")
 
     def write_users(fh):
-        fh.write(f"# {header}\n")
         fh.write("user_id,reputation\n")
         for i, rep in enumerate(result.reputations):
             ext = user_map.external(i) if user_map else str(i)
             fh.write(f"{ext},{float(rep)!r}\n")
 
-    _atomic_write(items_path, write_items)
-    _atomic_write(users_path, write_users)
-    if not result.converged:
-        print(f"warning: not converged after {result.iterations_used} "
-              f"iterations (residual {result.final_residual:.3e})",
-              file=sys.stderr)
-    print(f"wrote {items_path}")
-    print(f"wrote {users_path}")
+    _write_stamped(args, args.out_items, write_items)
+    _write_stamped(args, args.out_users, write_users)
     return 0
 
 
 def cmd_eval(args) -> int:
-    graph, user_map, item_map, truth = _load_source(args)
+    graph, _, item_map, truth = _load_source(args)
     benchmark = _resolve_benchmark(args, item_map, truth)
-    cfg = _ranking_config(args)
-    projected = project_graph(graph, ProjectionParams(args.p1, args.p2))
-    result = rank(projected, cfg)
+    result = _rank_projected(args, graph)
     rs = ranking_score(result.qualities, benchmark)
     lines = [f"rs={rs.value!r}",
              f"benchmark_size={rs.benchmark_size}",
@@ -246,16 +245,8 @@ def cmd_eval(args) -> int:
     for line in lines:
         print(line)
     if args.out:
-        out = _out_path(args, args.out)
-        header = _config_line(args, "eval")
-
-        def write_metrics(fh):
-            fh.write(f"# {header}\n")
-            for line in lines:
-                fh.write(line + "\n")
-
-        _atomic_write(out, write_metrics)
-        print(f"wrote {out}")
+        _write_stamped(args, args.out, lambda fh: fh.writelines(
+            line + "\n" for line in lines))
     return 0
 
 
@@ -263,9 +254,8 @@ def cmd_sweep(args) -> int:
     metric = _METRIC_ALIASES[args.metric]
     cfg = _ranking_config(args)
     if args.ratings is not None:
-        result = ingest_ratings(args.ratings, args.format)
-        benchmark = _resolve_benchmark(args, result.item_map, None)
-        source = RealSource(result.graph, benchmark,
+        graph, _, item_map, _ = _load_source(args)
+        source = RealSource(graph, _resolve_benchmark(args, item_map, None),
                             tag=Path(args.ratings).stem)
         n = args.realizations if args.realizations is not None else 1
     else:
@@ -286,12 +276,9 @@ def cmd_sweep(args) -> int:
                    f"value={opt.value!r}")
     except ValueError as exc:
         summary = f"optimum unavailable: {exc}"
-
-    out = _out_path(args, args.out)
-    header = _config_line(args, "sweep")
+    print(summary)
 
     def write_grid(fh):
-        fh.write(f"# {header}\n")
         fh.write(f"# tag={grid.tag} algorithm={grid.algorithm} "
                  f"metric={grid.metric} n={grid.n_realizations}\n")
         fh.write("p1,p2,mean,std,n,converged_frac\n")
@@ -302,22 +289,19 @@ def cmd_sweep(args) -> int:
                          f"{float(grid.converged_frac[a, b])!r}\n")
         fh.write(f"# {summary}\n")
 
-    _atomic_write(out, write_grid)
-    print(summary)
-    print(f"wrote {out}")
+    _write_stamped(args, args.out, write_grid)
     return 0
 
 
 def _read_sweep_csv(path: Path) -> SweepGrid:
-    meta = {}
+    meta = None
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         for raw in fh:
             line = raw.strip()
-            if line.startswith("# tag="):
-                for part in line[2:].split():
-                    k, _, v = part.partition("=")
-                    meta[k] = v
+            match = _SWEEP_META.fullmatch(line)
+            if match:
+                meta = match.groups()
                 continue
             if not line or line.startswith("#") or line.startswith("p1,"):
                 continue
@@ -327,7 +311,7 @@ def _read_sweep_csv(path: Path) -> SweepGrid:
                              int(n), float(conv)))
             except ValueError:
                 raise ValueError(f"{path}: not a sweep output file") from None
-    if not rows or not meta:
+    if not rows or meta is None:
         raise ValueError(f"{path}: not a sweep output file")
     p1_values = tuple(sorted({r[0] for r in rows}))
     p2_values = tuple(sorted({r[1] for r in rows}))
@@ -340,29 +324,25 @@ def _read_sweep_csv(path: Path) -> SweepGrid:
         mean[a, b], std[a, b], conv[a, b] = m, s, c
     if np.isnan(mean).any():
         raise ValueError(f"{path}: incomplete grid")
+    tag, algorithm, metric, _ = meta
     return SweepGrid(p1_values, p2_values, mean, std, conv,
-                     int(rows[0][4]), meta["metric"], meta["algorithm"],
-                     meta["tag"])
+                     int(rows[0][4]), metric, algorithm, tag)
 
 
 def cmd_table(args) -> int:
     grids = [_read_sweep_csv(Path(p)) for p in args.sweeps]
     rows = compare_table(grids)
-    out = _out_path(args, args.out)
-    header = _config_line(args, "table")
+    for r in rows:
+        print(f"{r.tag} {r.algorithm}: original={r.original:.6f} "
+              f"projected={r.projected:.6f} at ({r.opt_p1:g}, {r.opt_p2:g})")
 
     def write_table(fh):
-        fh.write(f"# {header}\n")
         fh.write("tag,algorithm,original,projected,opt_p1,opt_p2\n")
         for r in rows:
             fh.write(f"{r.tag},{r.algorithm},{r.original!r},"
                      f"{r.projected!r},{r.opt_p1:g},{r.opt_p2:g}\n")
 
-    _atomic_write(out, write_table)
-    for r in rows:
-        print(f"{r.tag} {r.algorithm}: original={r.original:.6f} "
-              f"projected={r.projected:.6f} at ({r.opt_p1:g}, {r.opt_p2:g})")
-    print(f"wrote {out}")
+    _write_stamped(args, args.out, write_table)
     return 0
 
 

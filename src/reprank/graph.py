@@ -129,16 +129,6 @@ class RatingGraph:
         denom = self.num_users * self.num_items
         return self.num_links / denom if denom else 0.0
 
-    def items_of(self, user: int) -> tuple[np.ndarray, np.ndarray]:
-        """Items rated by `user` and the corresponding ratings."""
-        sl = slice(self.user_ptr[user], self.user_ptr[user + 1])
-        return self.items[sl], self.ratings[sl]
-
-    def users_of(self, item: int) -> tuple[np.ndarray, np.ndarray]:
-        """Users who rated `item` and the corresponding ratings."""
-        idx = self.by_item[self.item_ptr[item]:self.item_ptr[item + 1]]
-        return self.users[idx], self.ratings[idx]
-
     def with_ratings(self, ratings: np.ndarray) -> "RatingGraph":
         """Copy of this graph with new link weights, topology unchanged."""
         ratings = np.asarray(ratings, dtype=np.float64)
@@ -217,29 +207,6 @@ class BenchmarkSet:
 class BenchmarkLoad(NamedTuple):
     benchmark: BenchmarkSet
     skipped: int
-
-
-@dataclass(frozen=True)
-class GraphStats:
-    num_users: int
-    num_items: int
-    num_links: int
-    mean_user_degree: float
-    mean_item_degree: float
-    sparsity: float
-
-
-def graph_stats(graph: RatingGraph) -> GraphStats:
-    """Basic size/density characteristics of a rating network."""
-    n_u, n_i, n_l = graph.num_users, graph.num_items, graph.num_links
-    return GraphStats(
-        num_users=n_u,
-        num_items=n_i,
-        num_links=n_l,
-        mean_user_degree=n_l / n_u if n_u else 0.0,
-        mean_item_degree=n_l / n_i if n_i else 0.0,
-        sparsity=graph.sparsity,
-    )
 
 
 @contextmanager
@@ -336,15 +303,19 @@ def write_ratings_csv(
     dest: str | Path | TextIO,
     user_map: IdMap | None = None,
     item_map: IdMap | None = None,
-    header_lines: Iterable[str] = (),
 ) -> None:
     """Serialize a graph in the generic CSV format; re-ingesting reproduces it.
 
-    Without id maps, dense indices are written as the external ids.
+    Without id maps, dense indices are written as the external ids. An
+    external id that the CSV reader would not read back as itself, one
+    holding a comma or surrounding whitespace, is an error.
     """
+    for id_map in (user_map, item_map):
+        for ext in id_map.ids if id_map else ():
+            if "," in ext or ext != ext.strip():
+                raise ValueError(f"external id {ext!r} cannot be written "
+                                 "to a ratings CSV")
     with _open_text(dest, "w") as stream:
-        for line in header_lines:
-            stream.write(f"# {line}\n")
         stream.write("user_id,item_id,rating\n")
         for u, i, r in zip(graph.users, graph.items, graph.ratings):
             uid = user_map.external(int(u)) if user_map else str(int(u))

@@ -33,10 +33,6 @@ class ProjectionParams:
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name}={v:g} outside [0, 1]")
 
-    @property
-    def is_identity(self) -> bool:
-        return self.p1 == 0.5 and self.p2 == 0.5
-
 
 def project_rating(rating: float, params: ProjectionParams) -> float:
     """Remap a single rating. Exact comparison against the integer grid."""

@@ -48,13 +48,14 @@ class SynthSource:
 
     spec: SynthSpec
     benchmark_fraction: float = DEFAULT_BENCHMARK_FRACTION
-    tag: str = ""
 
     def __post_init__(self):
         if not 0.0 < self.benchmark_fraction <= 1.0:
             raise ValueError("benchmark_fraction must be in (0, 1]")
-        if not self.tag:
-            object.__setattr__(self, "tag", f"case{self.spec.case}")
+
+    @property
+    def tag(self) -> str:
+        return f"case{self.spec.case}"
 
 
 @dataclass(frozen=True)

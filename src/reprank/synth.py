@@ -20,6 +20,9 @@ from .graph import RatingGraph, _open_text
 
 CASES = (0, 1, 2, 3, 4)
 
+Q_MIN, Q_MAX = 1.0, 5.0
+DELTA_MIN, DELTA_MAX = 0.0, 4.0
+
 # confusion band per case: every raw value that case 0 rates as either of
 # the two adjacent integer ratings (ends closed) collapses onto a coin flip
 # between them; the outer bands are open-ended because case 0 rates every
@@ -43,10 +46,6 @@ class SynthSpec:
     num_users: int = 6000
     num_items: int = 4000
     num_links: int = 480_000
-    q_min: float = 1.0
-    q_max: float = 5.0
-    delta_min: float = 0.0
-    delta_max: float = 4.0
     case: int = 0
     spam_fraction: float = 0.0
     seed: int = 0
@@ -56,10 +55,6 @@ class SynthSpec:
             raise ValueError("need at least one user and one item")
         if not 0 <= self.num_links <= self.num_users * self.num_items:
             raise ValueError("num_links must be in [0, num_users * num_items]")
-        if not 1.0 <= self.q_min < self.q_max <= 5.0:
-            raise ValueError("quality bounds must satisfy 1 <= q_min < q_max <= 5")
-        if not 0.0 <= self.delta_min < self.delta_max:
-            raise ValueError("error bounds must satisfy 0 <= delta_min < delta_max")
         if self.case not in CASES:
             raise ValueError(f"case must be one of {CASES}")
         if not 0.0 <= self.spam_fraction <= 1.0:
@@ -141,10 +136,10 @@ def generate_topology(
 
 
 def generate_truth(spec: SynthSpec, rng: np.random.Generator) -> SynthTruth:
-    """Intrinsic qualities uniform on [q_min, q_max) and per-user error
-    magnitudes uniform on [delta_min, delta_max)."""
-    q = rng.uniform(spec.q_min, spec.q_max, spec.num_items)
-    e = rng.uniform(spec.delta_min, spec.delta_max, spec.num_users)
+    """Intrinsic qualities uniform on [Q_MIN, Q_MAX) and per-user error
+    magnitudes uniform on [DELTA_MIN, DELTA_MAX)."""
+    q = rng.uniform(Q_MIN, Q_MAX, spec.num_items)
+    e = rng.uniform(DELTA_MIN, DELTA_MAX, spec.num_users)
     return SynthTruth(q, e)
 
 

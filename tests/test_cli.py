@@ -1,5 +1,8 @@
 """End-to-end command tests via the in-process entry point."""
 
+import json
+import shutil
+
 import pytest
 
 from reprank.cli import main
@@ -60,6 +63,17 @@ def test_ingest_movielens(tmp_path, capsys):
                "--out", str(tmp_path / "out.csv")])
     assert rc == 0
     assert "users=2 items=2 links=3" in capsys.readouterr().out
+
+
+def test_ingest_rejects_id_it_cannot_read_back(tmp_path, capsys):
+    src = tmp_path / "ml.dat"
+    src.write_text("a,b::100::5::0\n")
+    out = tmp_path / "out.csv"
+    rc = main(["ingest", "--ratings", str(src), "--format", "movielens",
+               "--out", str(out)])
+    assert rc == 1
+    assert "'a,b' cannot be written" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_ingest_error_paths(tmp_path, capsys):
@@ -165,6 +179,17 @@ def test_eval_truth_alignment(tmp_path, capsys):
     assert "integer external ids" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("records", ["-1,0,4\n0,1,3\n", "0,01,4\n1,1,3\n",
+                                     "0,0,4\n00,1,3\n"])
+def test_eval_truth_rejects_noncanonical_ids(tmp_path, capsys, records):
+    _, truth = run_synth(tmp_path, "src")
+    ratings = tmp_path / "odd.csv"
+    ratings.write_text("user_id,item_id,rating\n" + records)
+    rc = main(["eval", "--ratings", str(ratings), "--truth", str(truth)])
+    assert rc == 1
+    assert "integer external ids" in capsys.readouterr().err
+
+
 def test_eval_rejects_bad_fraction(capsys):
     rc = main(["eval", *SOURCE_ARGS, "--benchmark-fraction", "0"])
     assert rc == 1
@@ -223,6 +248,25 @@ def test_table_command(tmp_path, capsys):
         assert float(r[3]) <= float(r[2])  # projected <= original
 
 
+def test_table_keeps_tag_with_spaces(tmp_path, capsys):
+    ratings, _ = run_synth(tmp_path, "src")
+    spaced = tmp_path / "my data.csv"
+    shutil.copy(ratings, spaced)
+    bench = tmp_path / "bench.txt"
+    bench.write_text("0\n1\n2\n")
+    sweep = tmp_path / "sweep.csv"
+    rc = main(["sweep", "--ratings", str(spaced), "--benchmark", str(bench),
+               "--algorithm", "cr", "--grid-step", "0.5", "--out", str(sweep)])
+    assert rc == 0
+    assert sweep.read_text().splitlines()[1] == (
+        "# tag=my data algorithm=cr metric=rs n=1")
+    capsys.readouterr()
+    out = tmp_path / "table.csv"
+    assert main(["table", "--sweeps", str(sweep), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("my data cr: original=")
+    assert data_lines(out)[1].startswith("my data,cr,")
+
+
 def test_table_rejects_bad_inputs(tmp_path, capsys):
     junk = tmp_path / "junk.csv"
     junk.write_text("nothing\n")
@@ -249,3 +293,49 @@ def test_outdir_env_var(tmp_path, monkeypatch, capsys):
     assert rc == 0
     assert (tmp_path / "artifacts" / "r.csv").exists()
     assert (tmp_path / "artifacts" / "t.json").exists()
+
+
+def header_argv(path):
+    """Command line rebuilt from an artifact's `# config:` header."""
+    first = path.read_text().splitlines()[0]
+    cfg = json.loads(first.removeprefix("# config: "))
+    argv = [cfg.pop("command")]
+    for key, value in cfg.items():
+        flag = "--" + key.replace("_", "-")
+        if value is True:
+            argv.append(flag)
+        elif isinstance(value, list):
+            argv += [flag, *map(str, value)]
+        elif value is not False:
+            argv += [flag, str(value)]
+    return argv
+
+
+@pytest.mark.parametrize("command", ["synth", "ingest", "rank", "eval",
+                                     "sweep", "table"])
+def test_config_header_reproduces_artifact(tmp_path, capsys, command):
+    ratings, truth = run_synth(tmp_path, "src")
+    out = tmp_path / "artifact.csv"
+    argv = {
+        "synth": ["synth", *SYNTH_ARGS, "--spam-p", "0.1",
+                  "--out-ratings", str(out), "--out-truth", str(truth)],
+        "ingest": ["ingest", "--ratings", str(ratings), "--out", str(out)],
+        "rank": ["rank", *SOURCE_ARGS, "--algorithm", "rr", "--p1", "0.2",
+                 "--out-items", str(out),
+                 "--out-users", str(tmp_path / "users.csv")],
+        "eval": ["eval", "--ratings", str(ratings), "--truth", str(truth),
+                 "--algorithm", "cr", "--p2", "0.9", "--verbose",
+                 "--out", str(out)],
+        "sweep": ["sweep", *SOURCE_ARGS, "--algorithm", "cr",
+                  "--realizations", "2", "--grid-step", "0.5",
+                  "--fix-p1", "0.5", "--out", str(out)],
+        "table": ["table", "--sweeps", str(sweep_file(tmp_path, "a")),
+                  str(sweep_file(tmp_path, "b", "--algorithm", "mean")),
+                  "--out", str(out)],
+    }[command]
+    assert main(argv) == 0
+    first = out.read_bytes()
+    again = header_argv(out)
+    out.unlink()
+    assert main(again) == 0
+    assert out.read_bytes() == first

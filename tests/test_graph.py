@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from reprank.graph import (BenchmarkSet, IdMap, IngestError, RatingGraph,
-                           graph_stats, ingest_ratings, load_benchmark,
-                           write_ratings_csv)
+                           ingest_ratings, load_benchmark, write_ratings_csv)
 
 
 def small_graph():
@@ -36,10 +35,6 @@ def test_degree_views():
     assert g.user_degrees.tolist() == [3, 2, 2]
     assert g.item_degrees.tolist() == [3, 3, 1]
     assert g.sparsity == pytest.approx(7 / 9)
-    items, ratings = g.items_of(0)
-    assert items.tolist() == [0, 1, 2] and ratings.tolist() == [5, 3, 1]
-    users, ratings = g.users_of(1)
-    assert users.tolist() == [0, 1, 2] and ratings.tolist() == [3, 2, 5]
 
 
 def test_build_empty_graph():
@@ -88,14 +83,6 @@ def test_equals():
     g = small_graph()
     assert g.equals(small_graph())
     assert not g.equals(g.with_ratings(np.full(7, 3.0)))
-
-
-def test_graph_stats():
-    s = graph_stats(small_graph())
-    assert (s.num_users, s.num_items, s.num_links) == (3, 3, 7)
-    assert s.mean_user_degree == pytest.approx(7 / 3)
-    assert s.mean_item_degree == pytest.approx(7 / 3)
-    assert s.sparsity == pytest.approx(7 / 9)
 
 
 CSV = """\
@@ -156,9 +143,8 @@ def test_ingest_rejects_input_without_ratings():
 def test_csv_round_trip(tmp_path):
     g, users, items = ingest_ratings(io.StringIO(CSV))
     out = tmp_path / "ratings.csv"
-    write_ratings_csv(g, out, users, items, header_lines=["written by test"])
-    text = out.read_text()
-    assert text.startswith("# written by test\nuser_id,item_id,rating\n")
+    write_ratings_csv(g, out, users, items)
+    assert out.read_text().startswith("user_id,item_id,rating\n")
     g2, users2, items2 = ingest_ratings(out)
     assert g.equals(g2)
     assert users2.ids == users.ids and items2.ids == items.ids
@@ -169,6 +155,15 @@ def test_write_without_maps_uses_indices():
     write_ratings_csv(small_graph(), buf)
     lines = buf.getvalue().splitlines()
     assert lines[1] == "0,0,5.0"
+
+
+def test_write_rejects_ids_that_do_not_read_back():
+    g = RatingGraph.build(1, 1, [0], [0], [3])
+    for users, items in ((["a,b"], ["1"]), (["u"], ["1,2"]), ([" u"], ["1"]),
+                         (["u"], ["1 "])):
+        with pytest.raises(ValueError, match="cannot be written"):
+            write_ratings_csv(g, io.StringIO(), IdMap.from_ids(users),
+                              IdMap.from_ids(items))
 
 
 def test_idmap_rejects_duplicates():

@@ -17,11 +17,6 @@ def test_params_validation():
             ProjectionParams(p2=bad)
 
 
-def test_is_identity():
-    assert ProjectionParams().is_identity
-    assert not ProjectionParams(0.5, 0.4).is_identity
-
-
 def test_endpoints():
     # 2 spans [1, 3] as p1 goes 0 -> 1; 4 spans [3, 5]; 1/3/5 are fixed
     assert project_rating(2.0, ProjectionParams(0.0, 0.5)) == 1.0

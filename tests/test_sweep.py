@@ -29,7 +29,6 @@ def test_grid_values():
 def test_synth_source_defaults():
     src = SynthSource(TINY)
     assert src.tag == "case1"
-    assert SynthSource(TINY, tag="named").tag == "named"
     with pytest.raises(ValueError):
         SynthSource(TINY, benchmark_fraction=0.0)
 

@@ -18,12 +18,6 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         SynthSpec(num_users=2, num_items=2, num_links=5)
     with pytest.raises(ValueError):
-        SynthSpec(q_min=0.5)
-    with pytest.raises(ValueError):
-        SynthSpec(q_min=3.0, q_max=3.0)
-    with pytest.raises(ValueError):
-        SynthSpec(delta_min=2.0, delta_max=1.0)
-    with pytest.raises(ValueError):
         SynthSpec(case=5)
     with pytest.raises(ValueError):
         SynthSpec(spam_fraction=1.5)
