@@ -11,6 +11,7 @@ byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import re
@@ -338,9 +339,10 @@ def cmd_table(args) -> int:
 
     def write_table(fh):
         fh.write("tag,algorithm,original,projected,opt_p1,opt_p2\n")
+        out = csv.writer(fh, lineterminator="\n")
         for r in rows:
-            fh.write(f"{r.tag},{r.algorithm},{r.original!r},"
-                     f"{r.projected!r},{r.opt_p1:g},{r.opt_p2:g}\n")
+            out.writerow((r.tag, r.algorithm, repr(r.original),
+                          repr(r.projected), f"{r.opt_p1:g}", f"{r.opt_p2:g}"))
 
     _write_stamped(args, args.out, write_table)
     return 0

@@ -2,15 +2,15 @@
 
 A rating network connects users to the items they rated; the link weight is
 the rating value on the 5-star scale. The graph is immutable after
-construction and stores links twice (grouped by user and grouped by item) so
-per-user and per-item aggregations are both cheap.
+construction and stores each link once, in canonical (user, item) order:
+per-user aggregations read contiguous CSR segments, per-item ones scatter
+over the item index of each link.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, TextIO
 
@@ -49,9 +49,8 @@ class DuplicatePairError(ValueError):
 class RatingGraph:
     """Immutable bipartite rating network with dense 0-based indices.
 
-    Links are kept in canonical order (sorted by user, then item); `by_item`
-    is the permutation that regroups them by item. Both groupings are CSR
-    style: links of user u live at positions user_ptr[u]:user_ptr[u+1].
+    Links are kept once, in canonical order (sorted by user, then item),
+    CSR style: links of user u live at positions user_ptr[u]:user_ptr[u+1].
     """
 
     num_users: int
@@ -60,8 +59,6 @@ class RatingGraph:
     items: np.ndarray      # link item indices, canonical order
     ratings: np.ndarray    # link weights, canonical order
     user_ptr: np.ndarray   # CSR offsets over canonical order, len num_users+1
-    by_item: np.ndarray    # permutation sorting links by (item, user)
-    item_ptr: np.ndarray   # CSR offsets over by_item order, len num_items+1
 
     @classmethod
     def build(
@@ -84,10 +81,7 @@ class RatingGraph:
                 raise ValueError("user index out of range")
             if items.min() < 0 or items.max() >= num_items:
                 raise ValueError("item index out of range")
-            if ratings.min() < RATING_MIN or ratings.max() > RATING_MAX:
-                raise ValueError(
-                    f"rating out of bounds [{RATING_MIN:g}, {RATING_MAX:g}]"
-                )
+        _check_rating_bounds(ratings)
 
         order = np.lexsort((items, users))
         users = users[order]
@@ -101,14 +95,10 @@ class RatingGraph:
 
         user_ptr = np.zeros(num_users + 1, dtype=np.int64)
         np.cumsum(np.bincount(users, minlength=num_users), out=user_ptr[1:])
-        by_item = np.lexsort((users, items))
-        item_ptr = np.zeros(num_items + 1, dtype=np.int64)
-        np.cumsum(np.bincount(items, minlength=num_items), out=item_ptr[1:])
 
-        for a in (users, items, ratings, user_ptr, by_item, item_ptr):
+        for a in (users, items, ratings, user_ptr):
             a.setflags(write=False)
-        return cls(num_users, num_items, users, items, ratings,
-                   user_ptr, by_item, item_ptr)
+        return cls(num_users, num_items, users, items, ratings, user_ptr)
 
     # -- derived views -------------------------------------------------
 
@@ -122,7 +112,7 @@ class RatingGraph:
 
     @property
     def item_degrees(self) -> np.ndarray:
-        return np.diff(self.item_ptr)
+        return np.bincount(self.items, minlength=self.num_items)
 
     @property
     def sparsity(self) -> float:
@@ -134,13 +124,10 @@ class RatingGraph:
         ratings = np.asarray(ratings, dtype=np.float64)
         if ratings.shape != self.ratings.shape:
             raise ValueError("ratings length must match link count")
-        if ratings.size and (ratings.min() < RATING_MIN or ratings.max() > RATING_MAX):
-            raise ValueError(
-                f"rating out of bounds [{RATING_MIN:g}, {RATING_MAX:g}]"
-            )
+        _check_rating_bounds(ratings)
         ratings = ratings.copy()
         ratings.setflags(write=False)
-        return dataclasses.replace(self, ratings=ratings)
+        return replace(self, ratings=ratings)
 
     def equals(self, other: "RatingGraph") -> bool:
         """Exact equality: same shape, same links, bit-equal ratings."""
@@ -151,6 +138,11 @@ class RatingGraph:
             and np.array_equal(self.items, other.items)
             and np.array_equal(self.ratings, other.ratings)
         )
+
+
+def _check_rating_bounds(ratings: np.ndarray) -> None:
+    if ratings.size and (ratings.min() < RATING_MIN or ratings.max() > RATING_MAX):
+        raise ValueError(f"rating out of bounds [{RATING_MIN:g}, {RATING_MAX:g}]")
 
 
 @dataclass(frozen=True)
@@ -221,22 +213,19 @@ def _open_text(source: str | Path | TextIO, mode: str = "r"):
 
 
 def _iter_records(stream: TextIO, fmt: str) -> Iterator[tuple[int, str, str, str]]:
+    """Yields (line number, user, item, rating text) per record; every
+    field is stripped of surrounding whitespace, in both formats."""
+    sep, width, expected = (
+        ("::", 4, "UserID::MovieID::Rating::Timestamp") if fmt == MOVIELENS
+        else (",", 3, "user_id,item_id,rating"))
     for lineno, raw in enumerate(stream, 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if fmt == MOVIELENS:
-            parts = line.split("::")
-            if len(parts) != 4:
-                raise IngestError(
-                    "expected UserID::MovieID::Rating::Timestamp", lineno
-                )
-            yield lineno, parts[0], parts[1], parts[2]
-        else:
-            parts = [p.strip() for p in line.split(",")]
-            if len(parts) != 3:
-                raise IngestError("expected user_id,item_id,rating", lineno)
-            yield lineno, parts[0], parts[1], parts[2]
+        parts = [p.strip() for p in line.split(sep)]
+        if len(parts) != width:
+            raise IngestError(f"expected {expected}", lineno)
+        yield lineno, parts[0], parts[1], parts[2]
 
 
 def ingest_ratings(source: str | Path | TextIO, fmt: str = GENERIC_CSV) -> IngestResult:

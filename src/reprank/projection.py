@@ -8,7 +8,6 @@ the identity map, bit-exact in float64: 1 + 0.5*2 == 2 and 3 + 0.5*2 == 4.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,5 +50,4 @@ def project_graph(graph: RatingGraph, params: ProjectionParams) -> RatingGraph:
     out = r.astype(np.float64, copy=True)
     out[r == 2.0] = 1.0 + params.p1 * 2.0
     out[r == 4.0] = 3.0 + params.p2 * 2.0
-    out.setflags(write=False)
-    return dataclasses.replace(graph, ratings=out)
+    return graph.with_ratings(out)

@@ -17,6 +17,12 @@ algorithm's step(q, rep) -> (q, rep), which may adjust the qualities (rr's
 penalty) and returns the new reputations. Iteration stops when `residual`,
 the mean squared change of the quality vector, drops below delta. Items
 nobody rated keep a NaN quality sentinel, which the residual ignores.
+
+All aggregations run over the graph's one link layout: per-user sums are
+`bincount`s over the link user index, per-item sums and rr's top rater
+reputation scatter over the link item index. cr and rr compute the rating
+side of their Pearson correlation once per call; each iteration computes
+only the quality side.
 """
 
 from __future__ import annotations
@@ -159,42 +165,41 @@ def rank_ir(graph: RatingGraph, config: RankingConfig | None = None) -> RankingR
     return _fixed_point(graph, cfg, np.ones(graph.num_users), step)
 
 
-def _degenerate_users(graph, q):
-    """Users whose rating vector or quality sub-vector is constant.
+def _pearson_by_user(graph):
+    """Per-user Pearson correlation of (ratings, item qualities).
 
-    Exact max == min tests; mean subtraction alone cannot certify zero
+    The rating side (means, centred ratings, their sum of squares and the
+    spread test) is fixed for the graph and computed here once; the
+    returned corr(q) computes the quality side for the current qualities.
+    Degenerate users (either vector constant) get 0. Constancy is tested
+    exactly, max == min: mean subtraction alone cannot certify zero
     variance in floating point.
-    """
-    starts = graph.user_ptr[:-1]
-    r = graph.ratings
-    qs = q[graph.items]
-    r_spread = np.maximum.reduceat(r, starts) > np.minimum.reduceat(r, starts)
-    q_spread = np.maximum.reduceat(qs, starts) > np.minimum.reduceat(qs, starts)
-    return ~(r_spread & q_spread)
-
-
-def _pearson_by_user(graph, q):
-    """Pearson correlation of (ratings, current qualities) per user.
-
-    Degenerate users (either vector constant) get 0.
     """
     k = graph.user_degrees.astype(np.float64)
     u = graph.users
-    qs = q[graph.items]
-    r_mean = np.bincount(u, weights=graph.ratings, minlength=graph.num_users) / k
-    q_mean = np.bincount(u, weights=qs, minlength=graph.num_users) / k
-    dr = graph.ratings - r_mean[u]
-    dq = qs - q_mean[u]
-    num = np.bincount(u, weights=dr * dq, minlength=graph.num_users)
-    ss_r = np.bincount(u, weights=dr * dr, minlength=graph.num_users)
-    ss_q = np.bincount(u, weights=dq * dq, minlength=graph.num_users)
-    bad = _degenerate_users(graph, q)
-    den = np.sqrt(ss_r * ss_q)
-    bad |= den == 0.0
-    corr = np.zeros(graph.num_users)
-    good = ~bad
-    corr[good] = num[good] / den[good]
-    np.clip(corr, -1.0, 1.0, out=corr)
+    n = graph.num_users
+    starts = graph.user_ptr[:-1]
+    r = graph.ratings
+    r_mean = np.bincount(u, weights=r, minlength=n) / k
+    dr = r - r_mean[u]
+    ss_r = np.bincount(u, weights=dr * dr, minlength=n)
+    r_spread = np.maximum.reduceat(r, starts) > np.minimum.reduceat(r, starts)
+
+    def corr(q):
+        qs = q[graph.items]
+        q_mean = np.bincount(u, weights=qs, minlength=n) / k
+        dq = qs - q_mean[u]
+        num = np.bincount(u, weights=dr * dq, minlength=n)
+        ss_q = np.bincount(u, weights=dq * dq, minlength=n)
+        q_spread = (np.maximum.reduceat(qs, starts)
+                    > np.minimum.reduceat(qs, starts))
+        den = np.sqrt(ss_r * ss_q)
+        good = r_spread & q_spread & (den != 0.0)
+        out = np.zeros(n)
+        out[good] = num[good] / den[good]
+        np.clip(out, -1.0, 1.0, out=out)
+        return out
+
     return corr
 
 
@@ -223,9 +228,10 @@ def rank_cr(
     """
     cfg = config or RankingConfig(algorithm="cr")
     rep0 = _correlation_start(graph)
+    corr = _pearson_by_user(graph)
 
     def step(q, _):
-        return q, np.maximum(_pearson_by_user(graph, q), 0.0)
+        return q, np.maximum(corr(q), 0.0)
 
     return _fixed_point(graph, cfg, rep0, step, trace)
 
@@ -253,6 +259,7 @@ def rank_rr(
     """
     cfg = config or RankingConfig(algorithm="rr")
     rep0 = _correlation_start(graph)
+    corr = _pearson_by_user(graph)
 
     damping = np.ones(graph.num_users)
     if use_damping:
@@ -260,20 +267,18 @@ def rank_rr(
         top = logk.max() if logk.size else 0.0
         damping = logk / top if top > 0 else np.zeros_like(logk)
 
-    item_starts = graph.item_ptr[:-1]
-    users_by_item = graph.users[graph.by_item]
-
     def step(q, rep):
         if use_penalty:
             # scale only where the weighted mean applied: reputations are
             # non-negative, so a zero top rater reputation means zero total
             # weight and the item already holds its plain-mean fallback
-            penalty = np.maximum.reduceat(rep[users_by_item], item_starts)
+            penalty = np.zeros(graph.num_items)
+            np.maximum.at(penalty, graph.items, rep[graph.users])
             pos = penalty > 0
             np.minimum(penalty, 1.0, out=penalty)
             q[pos] *= penalty[pos]
 
-        trust = np.maximum(_pearson_by_user(graph, q), 0.0) * damping
+        trust = np.maximum(corr(q), 0.0) * damping
         powered = trust ** cfg.theta
         mass = powered.sum()
         rep = powered * (trust.sum() / mass) if mass > 0 else np.zeros_like(trust)

@@ -1,14 +1,7 @@
-"""Shared pytest plumbing.
+"""Shared pytest plumbing: prints the acceptance verdict lines recorded
+through `acceptance_log` in the terminal summary."""
 
-The acceptance tests record one line per criterion; printing them in the
-terminal summary keeps the verdicts visible regardless of capture mode.
-"""
-
-ACCEPTANCE_LINES: list[str] = []
-
-
-def record_acceptance(line: str) -> None:
-    ACCEPTANCE_LINES.append(line)
+from acceptance_log import ACCEPTANCE_LINES
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -16,7 +16,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from conftest import record_acceptance
+from acceptance_log import record_acceptance
 from nets import random_bipartite
 from oracle import oracle_ir, oracle_rr, oracle_rs_enumerated
 

@@ -1,5 +1,6 @@
 """End-to-end command tests via the in-process entry point."""
 
+import csv
 import json
 import shutil
 
@@ -248,16 +249,23 @@ def test_table_command(tmp_path, capsys):
         assert float(r[3]) <= float(r[2])  # projected <= original
 
 
-def test_table_keeps_tag_with_spaces(tmp_path, capsys):
+def real_sweep(tmp_path, filename):
+    """Runs a small cr sweep on a copy of a synthetic ratings file named
+    `filename`, so the sweep's tag is the file name's stem."""
     ratings, _ = run_synth(tmp_path, "src")
-    spaced = tmp_path / "my data.csv"
-    shutil.copy(ratings, spaced)
+    named = tmp_path / filename
+    shutil.copy(ratings, named)
     bench = tmp_path / "bench.txt"
     bench.write_text("0\n1\n2\n")
     sweep = tmp_path / "sweep.csv"
-    rc = main(["sweep", "--ratings", str(spaced), "--benchmark", str(bench),
+    rc = main(["sweep", "--ratings", str(named), "--benchmark", str(bench),
                "--algorithm", "cr", "--grid-step", "0.5", "--out", str(sweep)])
     assert rc == 0
+    return sweep
+
+
+def test_table_keeps_tag_with_spaces(tmp_path, capsys):
+    sweep = real_sweep(tmp_path, "my data.csv")
     assert sweep.read_text().splitlines()[1] == (
         "# tag=my data algorithm=cr metric=rs n=1")
     capsys.readouterr()
@@ -265,6 +273,15 @@ def test_table_keeps_tag_with_spaces(tmp_path, capsys):
     assert main(["table", "--sweeps", str(sweep), "--out", str(out)]) == 0
     assert capsys.readouterr().out.startswith("my data cr: original=")
     assert data_lines(out)[1].startswith("my data,cr,")
+
+
+def test_table_quotes_tag_with_comma(tmp_path, capsys):
+    sweep = real_sweep(tmp_path, "a,b.csv")
+    out = tmp_path / "table.csv"
+    assert main(["table", "--sweeps", str(sweep), "--out", str(out)]) == 0
+    header, row = csv.reader(data_lines(out))
+    assert len(header) == len(row) == 6
+    assert row[:2] == ["a,b", "cr"]
 
 
 def test_table_rejects_bad_inputs(tmp_path, capsys):

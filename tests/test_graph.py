@@ -23,10 +23,6 @@ def test_build_canonical_order():
     assert g.items.tolist() == [0, 1, 2, 0, 1, 0, 1]
     assert g.ratings.tolist() == [5, 3, 1, 4, 2, 1, 5]
     assert g.user_ptr.tolist() == [0, 3, 5, 7]
-    assert g.item_ptr.tolist() == [0, 3, 6, 7]
-    # by_item regroups links by (item, user)
-    assert g.items[g.by_item].tolist() == [0, 0, 0, 1, 1, 1, 2]
-    assert g.users[g.by_item].tolist() == [0, 1, 2, 0, 1, 2, 0]
 
 
 def test_degree_views():
@@ -119,6 +115,16 @@ def test_ingest_movielens():
     assert g.num_links == 3
     with pytest.raises(IngestError, match="line 1"):
         ingest_ratings(io.StringIO("1::10::5\n"), fmt="movielens")
+
+
+def test_ingest_strips_fields_in_both_formats():
+    ml = "a ::100::4::0\na::200 ::3::0\n"
+    g, users, items = ingest_ratings(io.StringIO(ml), fmt="movielens")
+    assert users.ids == ("a",) and items.ids == ("100", "200")
+    g_csv, users_csv, items_csv = ingest_ratings(
+        io.StringIO("a ,100,4\na,200 ,3\n"))
+    assert users_csv.ids == users.ids and items_csv.ids == items.ids
+    assert g.equals(g_csv)
 
 
 def test_ingest_errors_carry_line_numbers():

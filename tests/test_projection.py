@@ -60,7 +60,7 @@ def test_project_graph_moves_only_2_and_4():
     h = project_graph(g, ProjectionParams(0.1, 0.9))
     assert h.ratings.tolist() == [1.2, 4.8, 3.0, 1.2, 1.0]
     assert np.array_equal(h.users, g.users)
-    assert np.array_equal(h.item_ptr, g.item_ptr)
+    assert np.array_equal(h.items, g.items)
     assert g.ratings.tolist() == [2.0, 4.0, 3.0, 2.0, 1.0]
 
 

@@ -132,6 +132,22 @@ def test_degenerate_users_get_zero_reputation():
     assert res.reputations[0] > 0.0
 
 
+def test_constant_quality_side_gets_zero_reputation():
+    # circulant 7 x 7: every item mean is 8/7 and every user's ratings
+    # vary, so only the exact test on the quality side can certify that
+    # each user's quality sub-vector is constant
+    base = (1, 1, 1, 1, 1, 1, 2)
+    users, items = zip(*((j, i) for j in range(7) for i in range(7)))
+    ratings = [base[(i - j) % 7] for j, i in zip(users, items)]
+    g = RatingGraph.build(7, 7, users, items, ratings)
+    plain = rank_mean(g).qualities
+    assert (plain == 8 / 7).all()
+    for fn in (rank_cr, rank_rr):
+        res = fn(g)
+        assert res.reputations.tolist() == [0.0] * 7
+        assert np.array_equal(res.qualities, plain)
+
+
 def test_all_degenerate_falls_back_to_plain_mean():
     # every reputation collapses to 0; quality must be the plain mean
     g = RatingGraph.build(2, 2, [0, 0, 1, 1], [0, 1, 0, 1], [2, 2, 4, 4])

@@ -192,7 +192,7 @@ def test_spam_injection():
     assert 30_000 < changed <= 43_200
     assert np.isin(gs.ratings, [1.0, 2.0, 3.0, 4.0, 5.0]).all()
     assert np.array_equal(gs.users, g.users)
-    assert np.array_equal(gs.item_ptr, g.item_ptr)
+    assert np.array_equal(gs.items, g.items)
     again = inject_spam(g, 0.9, np.random.default_rng(5))
     assert np.array_equal(again.ratings, gs.ratings)
 
