@@ -47,7 +47,7 @@ def project_rating(rating: float, params: ProjectionParams) -> float:
 def project_graph(graph: RatingGraph, params: ProjectionParams) -> RatingGraph:
     """Remap all link weights of a graph; topology and link order unchanged."""
     r = graph.ratings
-    out = r.astype(np.float64, copy=True)
-    out[r == 2.0] = 1.0 + params.p1 * 2.0
-    out[r == 4.0] = 3.0 + params.p2 * 2.0
+    out = r.copy()
+    out[np.flatnonzero(r == 2.0)] = 1.0 + params.p1 * 2.0
+    out[np.flatnonzero(r == 4.0)] = 3.0 + params.p2 * 2.0
     return graph.with_ratings(out)

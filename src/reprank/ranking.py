@@ -18,11 +18,10 @@ penalty) and returns the new reputations. Iteration stops when `residual`,
 the mean squared change of the quality vector, drops below delta. Items
 nobody rated keep a NaN quality sentinel, which the residual ignores.
 
-All aggregations run over the graph's one link layout: per-user sums are
-`bincount`s over the link user index, per-item sums and rr's top rater
-reputation scatter over the link item index. cr and rr compute the rating
-side of their Pearson correlation once per call; each iteration computes
-only the quality side.
+Per-user and per-item sums are products with CSR operators built once per
+rank call on the graph's `user_ptr` (`_operators`): Aᵀ·y sums y over each
+item's raters and L·v a per-link v over each user's links, both in link
+order, as a sequential scan would.
 """
 
 from __future__ import annotations
@@ -30,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .graph import RatingGraph
 
@@ -86,44 +86,49 @@ def _require(cond: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def _plain_mean(graph):
-    """Mean rating per item, NaN where unrated."""
-    counts = graph.item_degrees
-    sums = np.bincount(graph.items, weights=graph.ratings,
-                       minlength=graph.num_items)
-    q = np.full(graph.num_items, np.nan)
-    np.divide(sums, counts, out=q, where=counts > 0)
-    return q
+def _like(op, values):
+    """A CSR operator with op's pattern holding the per-link `values`."""
+    return sp.csr_array((values, op.indices, op.indptr), shape=op.shape)
 
 
-def _weighted_quality(graph, rep, plain_mean):
-    """Reputation-weighted mean rating per item, NaN where unrated.
+@dataclass(frozen=True)
+class _Operators:
+    At: sp.csc_array         # item x user, 1 per link: Aᵀ·y sums per item
+    Rt: sp.csc_array         # item x user, the ratings
+    L: sp.csr_array          # user x link, 1 per link: L·v sums v per user
+    plain_mean: np.ndarray   # mean rating per item, NaN where unrated
 
-    Items whose raters carry zero total reputation fall back to the plain
-    mean for this step.
-    """
-    w = rep[graph.users]
-    wtot = np.bincount(graph.items, weights=w, minlength=graph.num_items)
-    wsum = np.bincount(graph.items, weights=w * graph.ratings,
-                       minlength=graph.num_items)
-    q = plain_mean.copy()
-    pos = wtot > 0
-    q[pos] = wsum[pos] / wtot[pos]
+
+def _operators(graph: RatingGraph) -> _Operators:
+    ones = np.ones(graph.num_links)
+    A = sp.csr_array((ones, graph.items, graph.user_ptr),
+                     shape=(graph.num_users, graph.num_items))
+    L = sp.csr_array((ones, np.arange(graph.num_links), graph.user_ptr),
+                     shape=(graph.num_users, graph.num_links))
+    At, Rt = A.T, _like(A, graph.ratings).T     # transposed views
+    ones = np.ones(graph.num_users)
+    counts = At @ ones
+    plain_mean = np.full(graph.num_items, np.nan)
+    np.divide(Rt @ ones, counts, out=plain_mean, where=counts > 0)
+    return _Operators(At, Rt, L, plain_mean)
+
+
+def _weighted_quality(ops, rep):
+    """Reputation-weighted mean rating per item, NaN where unrated; items
+    whose raters carry zero total reputation keep the plain mean."""
+    wtot = ops.At @ rep
+    q = ops.plain_mean.copy()
+    np.divide(ops.Rt @ rep, wtot, out=q, where=wtot > 0)
     return q
 
 
 def rank_mean(graph: RatingGraph) -> RankingResult:
     """Quality = arithmetic mean rating; every reputation is 1."""
-    return RankingResult(
-        reputations=np.ones(graph.num_users),
-        qualities=_plain_mean(graph),
-        iterations_used=1,
-        converged=True,
-        final_residual=0.0,
-    )
+    return RankingResult(np.ones(graph.num_users),
+                         _operators(graph).plain_mean, 1, True, 0.0)
 
 
-def _fixed_point(graph, cfg, rep, step, trace=None) -> RankingResult:
+def _fixed_point(ops, cfg, rep, step, trace=None) -> RankingResult:
     """The schedule shared by ir, cr and rr.
 
     Starting from the reputations `rep`, each iteration computes the
@@ -134,10 +139,9 @@ def _fixed_point(graph, cfg, rep, step, trace=None) -> RankingResult:
     single iteration the residual is unknown (inf). `trace`, if given,
     collects (qualities, reputations) copies.
     """
-    plain_mean = _plain_mean(graph)
     res = float("inf")
     for iterations in range(1, cfg.max_iterations + 1):
-        q = _weighted_quality(graph, rep, plain_mean)
+        q = _weighted_quality(ops, rep)
         q, rep = step(q, rep)
         if trace is not None:
             trace.append((q.copy(), rep.copy()))
@@ -154,48 +158,44 @@ def rank_ir(graph: RatingGraph, config: RankingConfig | None = None) -> RankingR
     cfg = config or RankingConfig(algorithm="ir")
     _require(not (graph.user_degrees == 0).any(),
              "ir requires every user to have rated at least one item")
-    k_user = graph.user_degrees.astype(np.float64)
+    ops = _operators(graph)
 
     def step(q, _):
         d = graph.ratings - q[graph.items]
-        mse = np.bincount(graph.users, weights=d * d,
-                          minlength=graph.num_users) / k_user
+        mse = _like(ops.L, d) @ d / graph.user_degrees
         return q, (mse + cfg.epsilon) ** (-cfg.beta)
 
-    return _fixed_point(graph, cfg, np.ones(graph.num_users), step)
+    return _fixed_point(ops, cfg, np.ones(graph.num_users), step)
 
 
-def _pearson_by_user(graph):
+def _pearson_by_user(graph, ops):
     """Per-user Pearson correlation of (ratings, item qualities).
 
     The rating side (means, centred ratings, their sum of squares and the
     spread test) is fixed for the graph and computed here once; the
-    returned corr(q) computes the quality side for the current qualities.
+    returned corr(q) computes the quality side for the current qualities,
+    centred before the products that L sums: raw moments would cancel.
     Degenerate users (either vector constant) get 0. Constancy is tested
     exactly, max == min: mean subtraction alone cannot certify zero
     variance in floating point.
     """
-    k = graph.user_degrees.astype(np.float64)
-    u = graph.users
-    n = graph.num_users
+    k = graph.user_degrees
     starts = graph.user_ptr[:-1]
     r = graph.ratings
-    r_mean = np.bincount(u, weights=r, minlength=n) / k
-    dr = r - r_mean[u]
-    ss_r = np.bincount(u, weights=dr * dr, minlength=n)
+    DR = _like(ops.L, r - np.repeat(ops.L @ r / k, k))   # centred ratings
+    ss_r = DR @ DR.data
     r_spread = np.maximum.reduceat(r, starts) > np.minimum.reduceat(r, starts)
 
     def corr(q):
-        qs = q[graph.items]
-        q_mean = np.bincount(u, weights=qs, minlength=n) / k
-        dq = qs - q_mean[u]
-        num = np.bincount(u, weights=dr * dq, minlength=n)
-        ss_q = np.bincount(u, weights=dq * dq, minlength=n)
-        q_spread = (np.maximum.reduceat(qs, starts)
-                    > np.minimum.reduceat(qs, starts))
+        dq = q[graph.items]
+        good = r_spread & (np.maximum.reduceat(dq, starts)
+                           > np.minimum.reduceat(dq, starts))
+        dq -= np.repeat(ops.L @ dq / k, k)
+        num = DR @ dq
+        ss_q = _like(ops.L, dq) @ dq
         den = np.sqrt(ss_r * ss_q)
-        good = r_spread & q_spread & (den != 0.0)
-        out = np.zeros(n)
+        good &= den != 0.0
+        out = np.zeros(graph.num_users)
         out[good] = num[good] / den[good]
         np.clip(out, -1.0, 1.0, out=out)
         return out
@@ -203,14 +203,16 @@ def _pearson_by_user(graph):
     return corr
 
 
-def _correlation_start(graph: RatingGraph) -> np.ndarray:
-    """Checks the cr/rr preconditions; returns the initial reputations,
-    each user's degree over the item count."""
+def _correlation_start(graph: RatingGraph):
+    """Checks the cr/rr preconditions; returns the operators, corr(q) and
+    the initial reputations, each user's degree over the item count."""
     _require(not (graph.user_degrees == 0).any(),
              "every user must have rated at least one item")
-    _require(not (graph.item_degrees == 0).any(),
+    ops = _operators(graph)
+    _require(not np.isnan(ops.plain_mean).any(),
              "every item must have at least one rating")
-    return graph.user_degrees / graph.num_items
+    return (ops, _pearson_by_user(graph, ops),
+            graph.user_degrees / graph.num_items)
 
 
 def rank_cr(
@@ -227,13 +229,12 @@ def rank_cr(
     between two code paths.
     """
     cfg = config or RankingConfig(algorithm="cr")
-    rep0 = _correlation_start(graph)
-    corr = _pearson_by_user(graph)
+    ops, corr, rep0 = _correlation_start(graph)
 
     def step(q, _):
         return q, np.maximum(corr(q), 0.0)
 
-    return _fixed_point(graph, cfg, rep0, step, trace)
+    return _fixed_point(ops, cfg, rep0, step, trace)
 
 
 def rank_rr(
@@ -258,8 +259,8 @@ def rank_rr(
     `trace` collects per-iteration (qualities, reputations) copies.
     """
     cfg = config or RankingConfig(algorithm="rr")
-    rep0 = _correlation_start(graph)
-    corr = _pearson_by_user(graph)
+    ops, corr, rep0 = _correlation_start(graph)
+    raters = ops.At.tocsr()     # each item's raters, in link order
 
     damping = np.ones(graph.num_users)
     if use_damping:
@@ -272,11 +273,10 @@ def rank_rr(
             # scale only where the weighted mean applied: reputations are
             # non-negative, so a zero top rater reputation means zero total
             # weight and the item already holds its plain-mean fallback
-            penalty = np.zeros(graph.num_items)
-            np.maximum.at(penalty, graph.items, rep[graph.users])
+            penalty = np.maximum.reduceat(rep[raters.indices],
+                                          raters.indptr[:-1])
             pos = penalty > 0
-            np.minimum(penalty, 1.0, out=penalty)
-            q[pos] *= penalty[pos]
+            q[pos] *= np.minimum(penalty[pos], 1.0)
 
         trust = np.maximum(corr(q), 0.0) * damping
         powered = trust ** cfg.theta
@@ -284,7 +284,7 @@ def rank_rr(
         rep = powered * (trust.sum() / mass) if mass > 0 else np.zeros_like(trust)
         return q, rep
 
-    return _fixed_point(graph, cfg, rep0, step, trace)
+    return _fixed_point(ops, cfg, rep0, step, trace)
 
 
 def rank(graph: RatingGraph, config: RankingConfig) -> RankingResult:

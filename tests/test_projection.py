@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from nets import random_bipartite
 from reprank.graph import RatingGraph
 from reprank.projection import ProjectionParams, project_graph, project_rating
+from reprank.ranking import RankingConfig, rank
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -79,10 +81,32 @@ def test_projection_is_monotone_in_params(lo, hi):
             <= project_rating(4.0, ProjectionParams(0.5, b)))
 
 
-@given(p1=unit, p2=unit)
-def test_graph_and_scalar_paths_agree(p1, p2):
+# grid ratings and their off-grid neighbours, which must pass through
+NEAR_GRID = np.array([1.0, 2.0, 3.0, 4.0, 5.0, np.nextafter(2.0, 3.0),
+                      np.nextafter(4.0, 3.0), np.nextafter(2.0, 1.0), 2.5])
+param = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), unit)
+
+
+@given(p1=param, p2=param, seed=st.integers(0, 2**32 - 1))
+def test_graph_and_scalar_paths_agree(p1, p2, seed):
     params = ProjectionParams(p1, p2)
-    g = RatingGraph.build(1, 5, [0] * 5, range(5), [1.0, 2.0, 3.0, 4.0, 5.0])
+    rng = np.random.default_rng(seed)
+    g = random_bipartite(rng)
+    g = g.with_ratings(rng.choice(NEAR_GRID, size=g.num_links))
     h = project_graph(g, params)
-    expected = [project_rating(r, params) for r in g.ratings]
-    assert h.ratings.tolist() == expected
+    expected = np.array([project_rating(r, params) for r in g.ratings])
+    assert h.ratings.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("algorithm", ["mean", "ir", "cr", "rr"])
+def test_identity_projection_leaves_rank_unchanged(algorithm):
+    config = RankingConfig(algorithm=algorithm)
+    rng = np.random.default_rng(25)
+    for _ in range(10):
+        g = random_bipartite(rng)
+        a = rank(g, config)
+        b = rank(project_graph(g, ProjectionParams(0.5, 0.5)), config)
+        assert a.qualities.tobytes() == b.qualities.tobytes()
+        assert a.reputations.tobytes() == b.reputations.tobytes()
+        assert ((a.iterations_used, a.converged, a.final_residual)
+                == (b.iterations_used, b.converged, b.final_residual))
