@@ -29,7 +29,7 @@ from .projection import ProjectionParams, project_graph
 from .ranking import ALGORITHMS, RankingConfig, rank
 from .sweep import (DEFAULT_BENCHMARK_FRACTION, DEFAULT_GRID_STEP,
                     DEFAULT_REALIZATIONS, RealSource, SweepGrid, SynthSource,
-                    compare_table, find_optimum, run_sweep)
+                    compare_table, find_optimum, grid_values, run_sweep)
 from .synth import (CASES, SynthSpec, SynthTruth, generate_network,
                     read_truth, write_truth)
 
@@ -106,14 +106,6 @@ def _synth_spec(args, case: int) -> SynthSpec:
     )
 
 
-def _check_source(parser, args) -> None:
-    real = args.ratings is not None
-    synthetic = args.synth_case is not None
-    if real == synthetic:
-        parser.error("exactly one data source required: "
-                     "--ratings or --synth-case")
-
-
 def _load_source(args):
     """Returns (graph, user_map, item_map, truth); maps/truth may be None."""
     if args.ratings is not None:
@@ -122,6 +114,8 @@ def _load_source(args):
         if getattr(args, "truth", None):
             truth = _align_truth(read_truth(args.truth), user_map, item_map)
         return graph, user_map, item_map, truth
+    if getattr(args, "truth", None):
+        raise ValueError("--truth requires a real ratings file")
     graph, truth = generate_network(_synth_spec(args, args.synth_case))
     return graph, None, None, truth
 
@@ -258,19 +252,16 @@ def cmd_sweep(args) -> int:
         graph, _, item_map, _ = _load_source(args)
         source = RealSource(graph, _resolve_benchmark(args, item_map, None),
                             tag=Path(args.ratings).stem)
-        n = args.realizations if args.realizations is not None else 1
     else:
         source = SynthSource(_synth_spec(args, args.synth_case),
                              benchmark_fraction=args.benchmark_fraction)
-        n = (args.realizations if args.realizations is not None
-             else DEFAULT_REALIZATIONS)
-    p1s = (args.fix_p1,) if args.fix_p1 is not None else None
-    p2s = (args.fix_p2,) if args.fix_p2 is not None else None
+
+    def axis(fixed):
+        return grid_values(args.grid_step) if fixed is None else (fixed,)
 
     grid = run_sweep(source, cfg, metric=metric,
-                     p1_values=p1s, p2_values=p2s,
-                     grid_step=args.grid_step, n_realizations=n,
-                     seed=args.seed, threads=args.threads)
+                     p1_values=axis(args.fix_p1), p2_values=axis(args.fix_p2),
+                     n_realizations=args.realizations, threads=args.threads)
     try:
         opt = find_optimum(grid)
         summary = (f"optimum p1={opt.p1:g} p2={opt.p2:g} "
@@ -387,11 +378,19 @@ def _add_network(p):
 
 
 def _add_source(p):
-    p.add_argument("--ratings", help="ratings file (real data source)")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--ratings", help="ratings file (real data source)")
+    source.add_argument("--synth-case", type=int, choices=CASES,
+                        help="synthetic data source: discretization case")
     p.add_argument("--format", choices=FORMATS, default=GENERIC_CSV)
-    p.add_argument("--synth-case", type=int, choices=CASES,
-                   help="synthetic data source: discretization case")
     _add_network(p)
+
+
+def _add_benchmark(p):
+    p.add_argument("--benchmark", help="benchmark item list (real data)")
+    p.add_argument("--benchmark-fraction", type=float,
+                   default=DEFAULT_BENCHMARK_FRACTION,
+                   help="top intrinsic-quality fraction (synthetic data)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -428,10 +427,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_source(p)
     _add_ranking(p)
     _add_projection(p)
-    p.add_argument("--benchmark", help="benchmark item list (real data)")
-    p.add_argument("--benchmark-fraction", type=float,
-                   default=DEFAULT_BENCHMARK_FRACTION,
-                   help="top intrinsic-quality fraction (synthetic data)")
+    _add_benchmark(p)
     p.add_argument("--truth", help="ground-truth file from the synth command")
     p.add_argument("--out", help="optional metrics output file")
     _add_common(p)
@@ -448,9 +444,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="freeze p1 (1-D slice over p2)")
     p.add_argument("--fix-p2", type=float, default=None,
                    help="freeze p2 (1-D slice over p1)")
-    p.add_argument("--benchmark", help="benchmark item list (real data)")
-    p.add_argument("--benchmark-fraction", type=float,
-                   default=DEFAULT_BENCHMARK_FRACTION)
+    _add_benchmark(p)
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", default="sweep.csv")
     _add_common(p)
@@ -467,10 +461,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command in ("rank", "eval", "sweep"):
-        _check_source(parser, args)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -330,6 +330,4 @@ def load_benchmark(source: str | Path | TextIO, item_map: IdMap) -> BenchmarkLoa
                 skipped += 1
             else:
                 resolved.add(idx)
-    if not resolved:
-        raise ValueError("empty benchmark set")
     return BenchmarkLoad(BenchmarkSet(frozenset(resolved)), skipped)

@@ -2,7 +2,7 @@
 
 A sweep evaluates one ranking algorithm at every grid cell, averaged over
 independent synthetic realizations. Realization seeds derive from
-(master seed, realization index) only, so every cell sees the same
+(`SynthSpec.seed`, realization index) only, so every cell sees the same
 networks and cells differ purely through the projection parameters
 (paired design). Real datasets are deterministic and use one realization.
 """
@@ -44,7 +44,11 @@ def grid_values(step: float = DEFAULT_GRID_STEP) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class SynthSource:
-    """Synthetic data source: fresh network per realization."""
+    """Synthetic data source: fresh network per realization.
+
+    Realization j is drawn from `SeedSequence([spec.seed, j])`; a sweep
+    over it runs `DEFAULT_REALIZATIONS` realizations unless told otherwise.
+    """
 
     spec: SynthSpec
     benchmark_fraction: float = DEFAULT_BENCHMARK_FRACTION
@@ -60,7 +64,8 @@ class SynthSource:
 
 @dataclass(frozen=True)
 class RealSource:
-    """Fixed real graph plus benchmark; ranking is deterministic."""
+    """Fixed real graph plus benchmark; ranking is deterministic, so a
+    sweep over it runs one realization."""
 
     graph: RatingGraph
     benchmark: BenchmarkSet
@@ -114,27 +119,23 @@ def _metric_value(result, metric, benchmark, truth):
         result.reputations, truth.error_magnitude).value
 
 
-def _grid_for_graph(graph, config, p1_values, p2_values, metric,
-                    benchmark, truth):
-    values = np.empty((len(p1_values), len(p2_values)))
+def _grid_for_graph(graph, config, cells, metric, benchmark, truth):
+    values = np.empty((len(cells), len(cells[0])))
     conv = np.empty_like(values, dtype=bool)
-    for a, p1 in enumerate(p1_values):
-        for b, p2 in enumerate(p2_values):
-            projected = project_graph(graph, ProjectionParams(p1, p2))
-            result = rank(projected, config)
+    for a, row in enumerate(cells):
+        for b, params in enumerate(row):
+            result = rank(project_graph(graph, params), config)
             values[a, b] = _metric_value(result, metric, benchmark, truth)
             conv[a, b] = result.converged
     return values, conv
 
 
-def _synth_realization(spec, benchmark_fraction, config, p1_values,
-                       p2_values, metric, seed_key):
-    rng = np.random.default_rng(np.random.SeedSequence(seed_key))
-    graph, truth = generate_network(spec, rng)
-    benchmark = (top_fraction_benchmark(truth, benchmark_fraction)
+def _synth_realization(source, config, cells, metric, j):
+    seed = np.random.SeedSequence([source.spec.seed, j])
+    graph, truth = generate_network(source.spec, np.random.default_rng(seed))
+    benchmark = (top_fraction_benchmark(truth, source.benchmark_fraction)
                  if metric == "rs" else None)
-    return _grid_for_graph(graph, config, p1_values, p2_values,
-                           metric, benchmark, truth)
+    return _grid_for_graph(graph, config, cells, metric, benchmark, truth)
 
 
 def run_sweep(
@@ -144,45 +145,48 @@ def run_sweep(
     metric: str = "rs",
     p1_values: Sequence[float] | None = None,
     p2_values: Sequence[float] | None = None,
-    grid_step: float = DEFAULT_GRID_STEP,
-    n_realizations: int = DEFAULT_REALIZATIONS,
-    seed: int = 0,
+    n_realizations: int | None = None,
     threads: int = 1,
 ) -> SweepGrid:
     """Evaluate `metric` for `config` over the projection grid.
 
-    Non-converged runs are recorded, not discarded; the per-cell
-    converged fraction reports them. The grid is reproducible from
-    (source, config, seed) regardless of `threads`.
+    The grid is every (p1, p2) pair of `p1_values` x `p2_values`, each
+    `grid_values()` by default. `n_realizations` defaults to 1 for a
+    `RealSource` and to `DEFAULT_REALIZATIONS` for a `SynthSource`, whose
+    realizations are seeded from its `spec.seed`. Non-converged runs are
+    recorded, not discarded; the per-cell converged fraction reports them.
+    The grid is reproducible from (source, config) regardless of `threads`.
     """
     if metric not in METRICS:
         raise ValueError(f"metric must be one of {METRICS}")
-    p1s = tuple(p1_values) if p1_values is not None else grid_values(grid_step)
-    p2s = tuple(p2_values) if p2_values is not None else grid_values(grid_step)
-    for v in (*p1s, *p2s):
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"grid value {v} outside [0, 1]")
-    if not p1s or not p2s:
-        raise ValueError("empty grid")
     if threads < 1:
         raise ValueError("threads must be >= 1")
+    p1s = tuple(p1_values) if p1_values is not None else grid_values()
+    p2s = tuple(p2_values) if p2_values is not None else grid_values()
+    if not p1s or not p2s:
+        raise ValueError("empty grid")
+    cells = tuple(tuple(ProjectionParams(p1, p2) for p2 in p2s)
+                  for p1 in p1s)
 
     if isinstance(source, RealSource):
         if metric != "rs":
             raise ValueError("real data carries no ground truth; only the "
                              "rs metric applies")
-        if n_realizations != 1:
+        if n_realizations not in (None, 1):
             raise ValueError("real data is deterministic; n_realizations "
                              "must be 1")
-        values, conv = _grid_for_graph(source.graph, config, p1s, p2s,
-                                       metric, source.benchmark, None)
+        n_realizations = 1
+        values, conv = _grid_for_graph(source.graph, config, cells, metric,
+                                       source.benchmark, None)
         stack = values[None]
         conv_stack = conv[None]
     else:
+        if n_realizations is None:
+            n_realizations = DEFAULT_REALIZATIONS
         if n_realizations < 1:
             raise ValueError("n_realizations must be >= 1")
-        args = [(source.spec, source.benchmark_fraction, config, p1s, p2s,
-                 metric, [seed, j]) for j in range(n_realizations)]
+        args = [(source, config, cells, metric, j)
+                for j in range(n_realizations)]
         if threads == 1 or n_realizations == 1:
             results = [_synth_realization(*a) for a in args]
         else:

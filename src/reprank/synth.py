@@ -73,6 +73,8 @@ class SynthTruth:
         e = np.asarray(self.error_magnitude, dtype=np.float64)
         if q.size == 0 or e.size == 0:
             raise ValueError("empty truth")
+        if q.ndim != 1 or e.ndim != 1:
+            raise ValueError("truth vectors must be 1-D")
         if not (np.isfinite(q).all() and np.isfinite(e).all()):
             raise ValueError("truth vectors must be finite")
         if e.min() < 0:
@@ -271,7 +273,7 @@ def read_truth(source: str | Path | TextIO) -> SynthTruth:
         e = payload["error_magnitude"]
     except KeyError as exc:
         raise TruthFormatError(f"truth file missing key {exc.args[0]!r}") from None
-    if not q or not e:
-        raise ValueError("empty truth")
-    return SynthTruth(np.asarray(q, dtype=np.float64),
-                      np.asarray(e, dtype=np.float64))
+    try:
+        return SynthTruth(q, e)
+    except TypeError:
+        raise TruthFormatError("truth vectors must hold numbers") from None

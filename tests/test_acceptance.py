@@ -277,11 +277,10 @@ def test_c5_rs_tie_handling():
 # ------------------------------------------- C6: correlation sweep optimum
 
 def test_c6_cr_correlation_sweep_optimum():
-    spec = SynthSpec(case=0, **DESK)
+    spec = SynthSpec(case=0, seed=MASTER, **DESK)
     t0 = time.perf_counter()
     grid = run_sweep(SynthSource(spec), RankingConfig(algorithm="cr"),
-                     metric="correlation", n_realizations=N_REAL,
-                     seed=MASTER, threads=4)
+                     metric="correlation", n_realizations=N_REAL, threads=4)
     elapsed = time.perf_counter() - t0
     opt = find_optimum(grid)
     ok = (abs(opt.p1 - 0.5) <= 0.05 + 1e-9
@@ -409,13 +408,13 @@ def test_c9_reputation_anticorrelates_with_error():
 # ------------------------------------- C10: projected optimum never worse
 
 def test_c10_projected_optimum_never_worse():
-    spec = SynthSpec(num_users=150, num_items=100, num_links=6000, case=1)
+    spec = SynthSpec(num_users=150, num_items=100, num_links=6000, case=1,
+                     seed=MASTER)
     margins = []
     for algorithm in ("mean", "cr"):
         grid = run_sweep(SynthSource(spec), RankingConfig(algorithm=algorithm),
                          metric="rs", p1_values=(0.0, 0.5, 1.0),
-                         p2_values=(0.0, 0.5, 1.0), n_realizations=3,
-                         seed=MASTER)
+                         p2_values=(0.0, 0.5, 1.0), n_realizations=3)
         original = float(grid.mean[grid.cell(0.5, 0.5)])
         margins.append(original - find_optimum(grid).value)
     ok = all(m >= -1e-12 for m in margins)

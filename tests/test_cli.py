@@ -166,6 +166,22 @@ def test_eval_real_data_with_benchmark(tmp_path, capsys):
     assert "empty benchmark" in capsys.readouterr().err
 
 
+def test_eval_truth_requires_real_ratings(tmp_path, capsys):
+    rc = main(["eval", *SOURCE_ARGS, "--truth", str(tmp_path / "none.json")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error: --truth requires a real ratings file" in err
+
+
+def test_eval_rejects_nested_truth_vectors(tmp_path, capsys):
+    ratings, truth = run_synth(tmp_path, "src")
+    truth.write_text(json.dumps({"intrinsic_quality": [[3.0]],
+                                 "error_magnitude": [[1.0], [2.0]]}))
+    rc = main(["eval", "--ratings", str(ratings), "--truth", str(truth)])
+    assert rc == 1
+    assert "error: truth vectors must be 1-D" in capsys.readouterr().err
+
+
 def test_eval_truth_alignment(tmp_path, capsys):
     ratings, truth = run_synth(tmp_path, "src")
     rc = main(["eval", "--ratings", str(ratings), "--truth", str(truth),

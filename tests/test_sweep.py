@@ -1,13 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from reprank.graph import BenchmarkSet, RatingGraph
-from reprank.metrics import ranking_score
+from reprank.metrics import ranking_score, top_fraction_benchmark
 from reprank.projection import ProjectionParams, project_graph
 from reprank.ranking import RankingConfig, rank
-from reprank.sweep import (Optimum, RealSource, SweepGrid, SynthSource,
+from reprank.sweep import (DEFAULT_BENCHMARK_FRACTION, DEFAULT_REALIZATIONS,
+                           Optimum, RealSource, SweepGrid, SynthSource,
                            compare_table, find_optimum, grid_values, run_sweep)
-from reprank.synth import SynthSpec
+from reprank.synth import SynthSpec, generate_network
 
 TINY = SynthSpec(num_users=60, num_items=40, num_links=900, case=1)
 CR = RankingConfig(algorithm="cr")
@@ -110,6 +113,30 @@ def test_run_sweep_real_source():
     assert grid.tag == "real"
 
 
+def test_run_sweep_default_realizations_follow_source():
+    one = dict(p1_values=(0.5,), p2_values=(0.5,))
+    assert run_sweep(hand_real_source(), CR, **one).n_realizations == 1
+    synth = run_sweep(SynthSource(TINY), RankingConfig(algorithm="mean"),
+                      **one)
+    assert synth.n_realizations == DEFAULT_REALIZATIONS
+
+
+def test_run_sweep_realizations_seeded_from_spec():
+    spec = dataclasses.replace(TINY, seed=7)
+    grid = run_sweep(SynthSource(spec), CR, p1_values=(0.5,),
+                     p2_values=(0.5,), n_realizations=3)
+    direct = []
+    for j in range(3):
+        rng = np.random.default_rng(np.random.SeedSequence([7, j]))
+        graph, truth = generate_network(spec, rng)
+        benchmark = top_fraction_benchmark(truth, DEFAULT_BENCHMARK_FRACTION)
+        rs = ranking_score(rank(graph, CR).qualities, benchmark).value
+        direct.append([[rs]])
+    direct = np.array(direct)
+    assert np.array_equal(grid.mean, direct.mean(axis=0))
+    assert np.array_equal(grid.std, direct.std(axis=0))
+
+
 def test_run_sweep_real_source_restrictions():
     src = hand_real_source()
     with pytest.raises(ValueError, match="ground truth"):
@@ -119,9 +146,9 @@ def test_run_sweep_real_source_restrictions():
 
 
 def test_run_sweep_is_seed_paired_and_thread_invariant():
-    src = SynthSource(TINY)
+    src = SynthSource(dataclasses.replace(TINY, seed=99))
     kw = dict(metric="rs", p1_values=(0.0, 0.5, 1.0), p2_values=(0.5,),
-              n_realizations=3, seed=99)
+              n_realizations=3)
     serial = run_sweep(src, CR, threads=1, **kw)
     pooled = run_sweep(src, CR, threads=3, **kw)
     again = run_sweep(src, CR, threads=1, **kw)
@@ -134,18 +161,19 @@ def test_run_sweep_is_seed_paired_and_thread_invariant():
 
 
 def test_run_sweep_correlation_metric():
-    grid = run_sweep(SynthSource(TINY), CR, metric="correlation",
-                     p1_values=(0.5,), p2_values=(0.0, 1.0),
-                     n_realizations=2, seed=5)
+    grid = run_sweep(SynthSource(dataclasses.replace(TINY, seed=5)), CR,
+                     metric="correlation", p1_values=(0.5,),
+                     p2_values=(0.0, 1.0), n_realizations=2)
     assert (np.abs(grid.mean) <= 1.0).all()
     assert grid.metric == "correlation"
 
 
 def test_compare_table():
-    spec = SynthSpec(num_users=100, num_items=60, num_links=2400, case=3)
+    spec = SynthSpec(num_users=100, num_items=60, num_links=2400, case=3,
+                     seed=17)
     grid = run_sweep(SynthSource(spec), CR, metric="rs",
                      p1_values=(0.0, 0.5, 1.0), p2_values=(0.0, 0.5, 1.0),
-                     n_realizations=2, seed=17)
+                     n_realizations=2)
     row = compare_table([grid])[0]
     a, b = grid.cell(0.5, 0.5)
     assert row.original == grid.mean[a, b]

@@ -30,6 +30,10 @@ def test_truth_validation():
         SynthTruth(np.array([np.inf]), np.array([1.0]))
     with pytest.raises(ValueError, match=">= 0"):
         SynthTruth(np.array([3.0]), np.array([-0.1]))
+    with pytest.raises(ValueError, match="1-D"):
+        SynthTruth(np.float64(3.0), np.array([1.0]))
+    with pytest.raises(ValueError, match="1-D"):
+        SynthTruth(np.array([[3.0]]), np.array([[1.0], [2.0]]))
     t = SynthTruth([2.0, 3.0], [0.5])
     assert t.num_items == 2 and t.num_users == 1
 
@@ -262,4 +266,11 @@ def test_read_truth_errors():
     with pytest.raises(ValueError, match="empty truth"):
         read_truth(io.StringIO(json.dumps(
             {"intrinsic_quality": [], "error_magnitude": [1.0]})))
+    for q, e in ((3.0, [1.0]), ([[3.0]], [[1.0], [2.0]])):
+        with pytest.raises(ValueError, match="1-D"):
+            read_truth(io.StringIO(json.dumps(
+                {"intrinsic_quality": q, "error_magnitude": e})))
+    with pytest.raises(TruthFormatError, match="numbers"):
+        read_truth(io.StringIO(json.dumps(
+            {"intrinsic_quality": {"a": 1}, "error_magnitude": [1.0]})))
     assert issubclass(TruthFormatError, ValueError)
