@@ -96,6 +96,10 @@ def _ranking_config(args) -> RankingConfig:
 
 
 def _synth_spec(args, case: int) -> SynthSpec:
+    # --truth and --benchmark name the items of a real ratings file
+    for flag in ("truth", "benchmark"):
+        if getattr(args, flag, None):
+            raise ValueError(f"--{flag} requires a real ratings file")
     return SynthSpec(
         num_users=args.users,
         num_items=args.items,
@@ -114,8 +118,6 @@ def _load_source(args):
         if getattr(args, "truth", None):
             truth = _align_truth(read_truth(args.truth), user_map, item_map)
         return graph, user_map, item_map, truth
-    if getattr(args, "truth", None):
-        raise ValueError("--truth requires a real ratings file")
     graph, truth = generate_network(_synth_spec(args, args.synth_case))
     return graph, None, None, truth
 
@@ -144,8 +146,6 @@ def _align_truth(truth, user_map: IdMap, item_map: IdMap):
 
 def _resolve_benchmark(args, item_map, truth) -> BenchmarkSet:
     if getattr(args, "benchmark", None):
-        if item_map is None:
-            raise ValueError("--benchmark requires a real ratings file")
         loaded = load_benchmark(args.benchmark, item_map)
         if loaded.skipped:
             _say(args, f"benchmark: skipped {loaded.skipped} unknown ids")

@@ -111,10 +111,6 @@ class RatingGraph:
         return np.diff(self.user_ptr)
 
     @property
-    def item_degrees(self) -> np.ndarray:
-        return np.bincount(self.items, minlength=self.num_items)
-
-    @property
     def sparsity(self) -> float:
         denom = self.num_users * self.num_items
         return self.num_links / denom if denom else 0.0

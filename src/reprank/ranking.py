@@ -122,6 +122,13 @@ def _weighted_quality(ops, rep):
     return q
 
 
+def _reputation_operators(graph: RatingGraph) -> _Operators:
+    """ir, cr and rr's operators: a reputation needs the user's ratings."""
+    _require(not (graph.user_degrees == 0).any(),
+             "every user must have rated at least one item")
+    return _operators(graph)
+
+
 def rank_mean(graph: RatingGraph) -> RankingResult:
     """Quality = arithmetic mean rating; every reputation is 1."""
     return RankingResult(np.ones(graph.num_users),
@@ -156,9 +163,7 @@ def _fixed_point(ops, cfg, rep, step, trace=None) -> RankingResult:
 def rank_ir(graph: RatingGraph, config: RankingConfig | None = None) -> RankingResult:
     """Iterative refinement: reputation is an inverse power of rating MSE."""
     cfg = config or RankingConfig(algorithm="ir")
-    _require(not (graph.user_degrees == 0).any(),
-             "ir requires every user to have rated at least one item")
-    ops = _operators(graph)
+    ops = _reputation_operators(graph)
 
     def step(q, _):
         d = graph.ratings - q[graph.items]
@@ -206,9 +211,7 @@ def _pearson_by_user(graph, ops):
 def _correlation_start(graph: RatingGraph):
     """Checks the cr/rr preconditions; returns the operators, corr(q) and
     the initial reputations, each user's degree over the item count."""
-    _require(not (graph.user_degrees == 0).any(),
-             "every user must have rated at least one item")
-    ops = _operators(graph)
+    ops = _reputation_operators(graph)
     _require(not np.isnan(ops.plain_mean).any(),
              "every item must have at least one rating")
     return (ops, _pearson_by_user(graph, ops),

@@ -101,7 +101,8 @@ def generate_topology(
     Both endpoints of each new link are sampled with probability
     proportional to (degree + 1); a duplicate pair discards both draws and
     resamples. The +1 smoothing makes the process well defined at degree 0
-    without seeding initial edges.
+    without seeding initial edges. Each urn holds every node once, then
+    one entry per link: the urns' tails are the links.
     """
     n_u, n_i, n_l = spec.num_users, spec.num_items, spec.num_links
     if n_l == n_u * n_i:
@@ -111,12 +112,10 @@ def generate_topology(
     user_urn = list(range(n_u))
     item_urn = list(range(n_i))
     seen: set[int] = set()
-    users: list[int] = []
-    items: list[int] = []
 
     buf: list[float] = []
     pos = 0
-    while len(users) < n_l:
+    while len(seen) < n_l:
         if pos + 1 >= len(buf):
             buf = rng.random(_URN_CHUNK).tolist()
             pos = 0
@@ -129,12 +128,11 @@ def generate_topology(
         if key in seen:
             continue
         seen.add(key)
-        users.append(u)
-        items.append(i)
         user_urn.append(u)
         item_urn.append(i)
 
-    return np.asarray(users, dtype=np.int64), np.asarray(items, dtype=np.int64)
+    return (np.asarray(user_urn[n_u:], dtype=np.int64),
+            np.asarray(item_urn[n_i:], dtype=np.int64))
 
 
 def generate_truth(spec: SynthSpec, rng: np.random.Generator) -> SynthTruth:
@@ -209,42 +207,41 @@ def inject_spam(
     return graph.with_ratings(ratings)
 
 
-def _compact(graph: RatingGraph, truth: SynthTruth) -> tuple[RatingGraph, SynthTruth]:
-    """Drop zero-degree users and items; preferential attachment can leave
-    a few nodes untouched and the correlation-based rankers require every
-    node to carry at least one link."""
-    keep_u = graph.user_degrees > 0
-    keep_i = graph.item_degrees > 0
+def _compact(edges: tuple, truth: SynthTruth) -> tuple[tuple, SynthTruth]:
+    """Drop zero-degree users and items from links and truth; preferential
+    attachment can leave a few nodes untouched and the correlation-based
+    rankers require every node to carry at least one link. Relabelling
+    keeps node order, so the canonical (user, item) link order holds."""
+    users, items = edges
+    keep_u = np.bincount(users, minlength=truth.num_users) > 0
+    keep_i = np.bincount(items, minlength=truth.num_items) > 0
     if keep_u.all() and keep_i.all():
-        return graph, truth
+        return edges, truth
     new_u = np.cumsum(keep_u) - 1
     new_i = np.cumsum(keep_i) - 1
-    compacted = RatingGraph.build(
-        int(keep_u.sum()), int(keep_i.sum()),
-        new_u[graph.users], new_i[graph.items], graph.ratings,
-    )
-    filtered = SynthTruth(truth.intrinsic_quality[keep_i],
-                          truth.error_magnitude[keep_u])
-    return compacted, filtered
+    return ((new_u[users], new_i[items]),
+            SynthTruth(truth.intrinsic_quality[keep_i],
+                       truth.error_magnitude[keep_u]))
 
 
 def generate_network(
     spec: SynthSpec, rng: np.random.Generator | None = None
 ) -> tuple[RatingGraph, SynthTruth]:
-    """Full pipeline: topology, truth, ratings, spam, compaction.
+    """Full pipeline: topology, truth, compaction, ratings, spam.
 
     Draw order is fixed (topology, truth, noise, coins, spam) so a seed
-    pins the entire realization. The returned graph has no zero-degree
-    nodes; the truth vectors are filtered to match its index space.
+    pins the entire realization; compaction draws nothing. The returned
+    graph has no zero-degree nodes; the truth vectors are filtered to
+    match its index space.
     """
     if rng is None:
         rng = np.random.default_rng(spec.seed)
     edges = generate_topology(spec, rng)
-    truth = generate_truth(spec, rng)
+    edges, truth = _compact(edges, generate_truth(spec, rng))
     graph = generate_ratings(edges, truth, spec.case, rng)
     if spec.spam_fraction > 0:
         graph = inject_spam(graph, spec.spam_fraction, rng)
-    return _compact(graph, truth)
+    return graph, truth
 
 
 def write_truth(truth: SynthTruth, dest: str | Path | TextIO) -> None:

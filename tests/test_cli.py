@@ -125,6 +125,15 @@ def test_rank_outputs_sorted_items(tmp_path):
     assert all(float(rep) == 1.0 for _, rep in urows)
 
 
+def test_rank_warns_when_not_converged(tmp_path, capsys):
+    rc = main(["rank", *SOURCE_ARGS, "--algorithm", "cr", "--max-iter", "1",
+               "--out-items", str(tmp_path / "i.csv"),
+               "--out-users", str(tmp_path / "u.csv")])
+    assert rc == 0
+    assert "warning: not converged after 1 iterations" in (
+        capsys.readouterr().err)
+
+
 def test_source_must_be_unambiguous(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["rank", "--out-items", str(tmp_path / "i.csv"),
@@ -171,6 +180,31 @@ def test_eval_truth_requires_real_ratings(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert "error: --truth requires a real ratings file" in err
+
+
+def test_eval_benchmark_requires_real_ratings(tmp_path, capsys):
+    rc = main(["eval", *SOURCE_ARGS, "--benchmark", str(tmp_path / "b.txt")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error: --benchmark requires a real ratings file" in err
+
+
+def test_eval_real_ratings_need_a_benchmark(tmp_path, capsys):
+    ratings, _ = run_synth(tmp_path, "src")
+    rc = main(["eval", "--ratings", str(ratings)])
+    assert rc == 1
+    assert "error: no benchmark available" in capsys.readouterr().err
+
+
+def test_eval_truth_must_cover_ratings(tmp_path, capsys):
+    ratings, _ = run_synth(tmp_path, "src")
+    short = tmp_path / "short.json"
+    short.write_text(json.dumps({"intrinsic_quality": [3.0],
+                                 "error_magnitude": [1.0]}))
+    rc = main(["eval", "--ratings", str(ratings), "--truth", str(short)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error: truth file does not cover the ratings file" in err
 
 
 def test_eval_rejects_nested_truth_vectors(tmp_path, capsys):
@@ -252,6 +286,24 @@ def test_sweep_real_source(tmp_path, capsys):
     assert "tag=src" in lines[1] and "n=1" in lines[1]
 
 
+def test_sweep_benchmark_requires_real_ratings(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    rc = main(["sweep", "--synth-case", "1", "--users", "20", "--items", "10",
+               "--links", "60", "--grid-step", "0.5", "--realizations", "1",
+               "--benchmark", str(tmp_path / "b.txt"), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error: --benchmark requires a real ratings file" in err
+    assert not out.exists()
+
+
+def test_sweep_without_converged_cell(tmp_path, capsys):
+    out = sweep_file(tmp_path, "stuck", "--fix-p1", "0.5", "--max-iter", "1")
+    summary = "optimum unavailable: every cell failed to converge"
+    assert summary in capsys.readouterr().out
+    assert out.read_text().splitlines()[-1] == f"# {summary}"
+
+
 def test_table_command(tmp_path, capsys):
     a = sweep_file(tmp_path, "a")
     b = sweep_file(tmp_path, "b", "--algorithm", "mean")
@@ -317,6 +369,17 @@ def test_table_rejects_bad_inputs(tmp_path, capsys):
                "--out", str(tmp_path / "t.csv")])
     assert rc == 1
     assert "rs sweeps" in capsys.readouterr().err
+
+
+def test_table_rejects_incomplete_grid(tmp_path, capsys):
+    sweep = sweep_file(tmp_path, "full", "--realizations", "1")
+    lines = sweep.read_text().splitlines()
+    del lines[4]  # the (0, 0.5) cell
+    sweep.write_text("\n".join(lines) + "\n")
+    rc = main(["table", "--sweeps", str(sweep),
+               "--out", str(tmp_path / "t.csv")])
+    assert rc == 1
+    assert "incomplete grid" in capsys.readouterr().err
 
 
 def test_outdir_env_var(tmp_path, monkeypatch, capsys):

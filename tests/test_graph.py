@@ -29,7 +29,6 @@ def test_degree_views():
     g = small_graph()
     assert g.num_links == 7
     assert g.user_degrees.tolist() == [3, 2, 2]
-    assert g.item_degrees.tolist() == [3, 3, 1]
     assert g.sparsity == pytest.approx(7 / 9)
 
 

@@ -4,8 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from reprank.synth import (SynthSpec, SynthTruth, TruthFormatError, _compact,
-                           _round_half_away, generate_network,
+from reprank.synth import (CASES, SynthSpec, SynthTruth, TruthFormatError,
+                           _compact, _round_half_away, generate_network,
                            generate_ratings, generate_topology, generate_truth,
                            inject_spam, read_truth, write_truth)
 from reprank.graph import RatingGraph
@@ -208,22 +208,60 @@ def test_full_spam_destroys_signal():
 
 
 def test_compact_drops_silent_nodes():
-    g = RatingGraph.build(3, 3, [0, 2, 2], [0, 0, 1], [4, 2, 5])
+    edges = (np.array([0, 2, 2]), np.array([0, 0, 1]))
     truth = SynthTruth([1.5, 2.5, 3.5], [0.1, 0.2, 0.3])
-    cg, ct = _compact(g, truth)
-    assert cg.num_users == 2 and cg.num_items == 2
+    (users, items), ct = _compact(edges, truth)
+    assert users.tolist() == [0, 1, 1] and items.tolist() == [0, 0, 1]
+    assert ct.num_users == 2 and ct.num_items == 2
     assert ct.intrinsic_quality.tolist() == [1.5, 2.5]
     assert ct.error_magnitude.tolist() == [0.1, 0.3]
     # untouched networks come back as-is
-    full = RatingGraph.build(2, 2, [0, 1], [0, 1], [3, 4])
+    full = (np.array([0, 1]), np.array([0, 1]))
     t2 = SynthTruth([1.0, 2.0], [0.5, 0.5])
-    assert _compact(full, t2)[0] is full
+    out_edges, out_truth = _compact(full, t2)
+    assert out_edges is full and out_truth is t2
+
+
+def staged_network(spec):
+    """generate_network's stages in their draw order, compacting last by a
+    second RatingGraph.build on the relabelled links of the rated graph."""
+    rng = np.random.default_rng(spec.seed)
+    edges = generate_topology(spec, rng)
+    truth = generate_truth(spec, rng)
+    g = generate_ratings(edges, truth, spec.case, rng)
+    if spec.spam_fraction > 0:
+        g = inject_spam(g, spec.spam_fraction, rng)
+    keep_u = np.bincount(g.users, minlength=g.num_users) > 0
+    keep_i = np.bincount(g.items, minlength=g.num_items) > 0
+    new_u = np.cumsum(keep_u) - 1
+    new_i = np.cumsum(keep_i) - 1
+    compacted = RatingGraph.build(int(keep_u.sum()), int(keep_i.sum()),
+                                  new_u[g.users], new_i[g.items], g.ratings)
+    return compacted, SynthTruth(truth.intrinsic_quality[keep_i],
+                                 truth.error_magnitude[keep_u])
+
+
+@pytest.mark.parametrize("spam", [0.0, 0.3])
+@pytest.mark.parametrize("case", CASES)
+def test_generate_network_matches_staged_reference(case, spam):
+    # the sparse shapes leave both users and items silent
+    for shape in ((60, 40, 1200), (80, 80, 120), (30, 200, 60), (200, 30, 60)):
+        spec = SynthSpec(*shape, case=case, spam_fraction=spam, seed=11 + case)
+        g, t = generate_network(spec)
+        ref, ref_truth = staged_network(spec)
+        assert g.equals(ref)
+        assert np.array_equal(t.intrinsic_quality, ref_truth.intrinsic_quality)
+        assert np.array_equal(t.error_magnitude, ref_truth.error_magnitude)
+        if shape[2] < 200:
+            assert g.num_users < spec.num_users
+            assert g.num_items < spec.num_items
 
 
 def test_generate_network_has_no_silent_nodes():
     spec = SynthSpec(num_users=30, num_items=20, num_links=40, seed=8)
     g, t = generate_network(spec)
-    assert (g.user_degrees > 0).all() and (g.item_degrees > 0).all()
+    assert (g.user_degrees > 0).all()
+    assert (np.bincount(g.items, minlength=g.num_items) > 0).all()
     assert t.num_users == g.num_users and t.num_items == g.num_items
     assert g.num_links == 40
 
