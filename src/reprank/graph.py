@@ -69,6 +69,11 @@ class RatingGraph:
         items: Iterable[int],
         ratings: Iterable[float],
     ) -> "RatingGraph":
+        """Sorts the links on the int64 key user * num_items + item, which
+        needs num_users * num_items < 2**63: distinct keys give canonical
+        order, and equal ones (duplicate pairs) end up adjacent."""
+        if int(num_users) * int(num_items) >= 2**63:
+            raise ValueError("num_users * num_items must be below 2**63")
         users = np.asarray(users, dtype=np.int64)
         items = np.asarray(items, dtype=np.int64)
         ratings = np.asarray(ratings, dtype=np.float64)
@@ -83,7 +88,7 @@ class RatingGraph:
                 raise ValueError("item index out of range")
         _check_rating_bounds(ratings)
 
-        order = np.lexsort((items, users))
+        order = np.argsort(users * num_items + items)
         users = users[order]
         items = items[order]
         ratings = ratings[order]

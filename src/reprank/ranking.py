@@ -87,7 +87,7 @@ def _require(cond: bool, message: str) -> None:
 
 
 def _like(op, values):
-    """A CSR operator with op's pattern holding the per-link `values`."""
+    """A CSR operator with op's pattern on a view of the per-link `values`."""
     return sp.csr_array((values, op.indices, op.indptr), shape=op.shape)
 
 
@@ -164,10 +164,12 @@ def rank_ir(graph: RatingGraph, config: RankingConfig | None = None) -> RankingR
     """Iterative refinement: reputation is an inverse power of rating MSE."""
     cfg = config or RankingConfig(algorithm="ir")
     ops = _reputation_operators(graph)
+    d = np.empty(graph.num_links)
+    D = _like(ops.L, d)     # a view of d: D @ d sums d² per user, per step
 
     def step(q, _):
-        d = graph.ratings - q[graph.items]
-        mse = _like(ops.L, d) @ d / graph.user_degrees
+        np.subtract(graph.ratings, q[graph.items], out=d)
+        mse = D @ d / graph.user_degrees
         return q, (mse + cfg.epsilon) ** (-cfg.beta)
 
     return _fixed_point(ops, cfg, np.ones(graph.num_users), step)

@@ -102,7 +102,10 @@ def generate_topology(
     proportional to (degree + 1); a duplicate pair discards both draws and
     resamples. The +1 smoothing makes the process well defined at degree 0
     without seeding initial edges. Each urn holds every node once, then
-    one entry per link: the urns' tails are the links.
+    one entry per link: the urns' tails are the links. Draws: one pair of
+    doubles (user, item) per attempt from consecutive
+    rng.random(_URN_CHUNK) blocks, the rest of the last block discarded;
+    0 links and the complete graph draw nothing.
     """
     n_u, n_i, n_l = spec.num_users, spec.num_items, spec.num_links
     if n_l == n_u * n_i:
@@ -112,24 +115,24 @@ def generate_topology(
     user_urn = list(range(n_u))
     item_urn = list(range(n_i))
     seen: set[int] = set()
-
-    buf: list[float] = []
-    pos = 0
-    while len(seen) < n_l:
-        if pos + 1 >= len(buf):
-            buf = rng.random(_URN_CHUNK).tolist()
-            pos = 0
-        ulen = len(user_urn)
-        ilen = len(item_urn)
-        u = user_urn[min(int(buf[pos] * ulen), ulen - 1)]
-        i = item_urn[min(int(buf[pos + 1] * ilen), ilen - 1)]
-        pos += 2
-        key = u * n_i + i
-        if key in seen:
-            continue
-        seen.add(key)
-        user_urn.append(u)
-        item_urn.append(i)
+    see, add_u, add_i = seen.add, user_urn.append, item_urn.append
+    ulen, ilen, stop = n_u, n_i, n_u + n_l
+    while ulen < stop:
+        draws = iter(rng.random(_URN_CHUNK).tolist())
+        for bu, bi in zip(draws, draws):
+            x, y = int(bu * ulen), int(bi * ilen)
+            u = user_urn[x if x < ulen else ulen - 1]
+            i = item_urn[y if y < ilen else ilen - 1]
+            key = u * n_i + i
+            if key in seen:
+                continue
+            see(key)
+            add_u(u)
+            add_i(i)
+            ulen += 1
+            ilen += 1
+            if ulen == stop:
+                break
 
     return (np.asarray(user_urn[n_u:], dtype=np.int64),
             np.asarray(item_urn[n_i:], dtype=np.int64))

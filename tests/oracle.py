@@ -12,6 +12,7 @@ from itertools import permutations
 
 CAP = 10 ** 6
 TINY = 1e-30
+URN_CHUNK = 1 << 17
 
 
 def _index(links):
@@ -29,6 +30,40 @@ def _residual(q_new, q_old, num_items):
         d = v - q_old[i]
         s += d * d
     return s / num_items
+
+
+def oracle_topology(num_users, num_items, num_links, rng):
+    """Preferential-attachment links as lists, by the urn loop as first
+    written: per attempt, one pair of doubles read from consecutive
+    rng.random(URN_CHUNK) blocks."""
+    n_u, n_i, n_l = num_users, num_items, num_links
+    if n_l == n_u * n_i:
+        return ([u for u in range(n_u) for _ in range(n_i)],
+                [i for _ in range(n_u) for i in range(n_i)])
+
+    user_urn = list(range(n_u))
+    item_urn = list(range(n_i))
+    seen = set()
+
+    buf = []
+    pos = 0
+    while len(seen) < n_l:
+        if pos + 1 >= len(buf):
+            buf = rng.random(URN_CHUNK).tolist()
+            pos = 0
+        ulen = len(user_urn)
+        ilen = len(item_urn)
+        u = user_urn[min(int(buf[pos] * ulen), ulen - 1)]
+        i = item_urn[min(int(buf[pos + 1] * ilen), ilen - 1)]
+        pos += 2
+        key = u * n_i + i
+        if key in seen:
+            continue
+        seen.add(key)
+        user_urn.append(u)
+        item_urn.append(i)
+
+    return user_urn[n_u:], item_urn[n_i:]
 
 
 def oracle_mean(links, num_items):

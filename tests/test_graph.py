@@ -1,10 +1,12 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from reprank.graph import (BenchmarkSet, IdMap, IngestError, RatingGraph,
-                           ingest_ratings, load_benchmark, write_ratings_csv)
+from reprank.graph import (BenchmarkSet, DuplicatePairError, IdMap,
+                           IngestError, RatingGraph, ingest_ratings,
+                           load_benchmark, write_ratings_csv)
 
 
 def small_graph():
@@ -52,6 +54,56 @@ def test_build_rejects_bad_input():
         RatingGraph.build(-1, 2, [], [], [])
     with pytest.raises(ValueError, match=r"duplicate \(user, item\) pair: \(1, 0\)"):
         RatingGraph.build(2, 2, [0, 1, 1], [0, 0, 0], [3, 4, 5])
+
+
+def _shuffled_links(rng, n_u, n_i, n_l):
+    keys = rng.choice(n_u * n_i, size=n_l, replace=False)
+    ratings = rng.integers(1, 6, size=n_l).astype(np.float64)
+    return keys // n_i, keys % n_i, ratings
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_build_order_matches_lexsort(seed):
+    rng = np.random.default_rng(seed)
+    n_u, n_i = int(rng.integers(1, 300)), int(rng.integers(1, 200))
+    users, items, ratings = _shuffled_links(
+        rng, n_u, n_i, int(rng.integers(0, n_u * n_i // 3 + 2)))
+    g = RatingGraph.build(n_u, n_i, users, items, ratings)
+    order = np.lexsort((items, users))
+    assert np.array_equal(g.users, users[order])
+    assert np.array_equal(g.items, items[order])
+    assert np.array_equal(g.ratings, ratings[order])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_duplicate_error_names_the_lexsort_first_pair(seed):
+    rng = np.random.default_rng(100 + seed)
+    users, items, ratings = _shuffled_links(rng, 120, 90, 2000)
+    dup = rng.choice(users.size, size=int(rng.integers(1, 6)), replace=False)
+    users = np.concatenate([users, users[dup]])
+    items = np.concatenate([items, items[dup]])
+    ratings = np.concatenate([ratings, ratings[dup]])
+    perm = rng.permutation(users.size)
+    users, items, ratings = users[perm], items[perm], ratings[perm]
+    order = np.lexsort((items, users))
+    su, si = users[order], items[order]
+    k = int(np.flatnonzero((su[1:] == su[:-1]) & (si[1:] == si[:-1]))[0])
+    with pytest.raises(DuplicatePairError) as info:
+        RatingGraph.build(120, 90, users, items, ratings)
+    assert (info.value.user, info.value.item) == (su[k], si[k])
+
+
+# (2, 2**62) would build without the guard, allocating nothing large
+@pytest.mark.parametrize("num_users, num_items", [(2**32, 2**32), (2, 2**62)])
+def test_build_rejects_key_overflow_before_allocating(num_users, num_items):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="2\\*\\*63"):
+            RatingGraph.build(num_users, num_items, [0], [0], [3.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_arrays_frozen():

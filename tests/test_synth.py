@@ -9,6 +9,7 @@ from reprank.synth import (CASES, SynthSpec, SynthTruth, TruthFormatError,
                            generate_ratings, generate_topology, generate_truth,
                            inject_spam, read_truth, write_truth)
 from reprank.graph import RatingGraph
+from oracle import oracle_topology
 
 
 def test_spec_validation():
@@ -59,6 +60,27 @@ def test_topology_complete_graph():
     users, items = generate_topology(spec, np.random.default_rng(3))
     assert users.size == 24
     assert len(set(zip(users.tolist(), items.tolist()))) == 24
+
+
+TOPOLOGY_CASES = [
+    ((600, 400, 48_000), 0), ((600, 400, 48_000), 1), ((600, 400, 48_000), 2),
+    ((1000, 800, 100_000), 3),   # more attempts than one block of pairs
+    ((30, 20, 599), 4),          # near-complete: heavy rejection
+    ((1, 1, 1), 5),              # complete graphs draw nothing
+    ((6, 4, 24), 6),
+    ((5, 3, 0), 7),              # nor does the empty one
+]
+
+
+@pytest.mark.parametrize("shape, seed", TOPOLOGY_CASES, ids=[
+    "{}x{}x{}-seed{}".format(*shape, seed) for shape, seed in TOPOLOGY_CASES])
+def test_topology_matches_oracle(shape, seed):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    users, items = generate_topology(SynthSpec(*shape), rng)
+    ref_users, ref_items = oracle_topology(*shape, ref_rng)
+    assert users.tolist() == ref_users and items.tolist() == ref_items
+    # same draws consumed, the rest of the last block included
+    assert rng.random() == ref_rng.random()
 
 
 def test_topology_is_heavy_tailed():
