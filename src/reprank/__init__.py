@@ -8,7 +8,7 @@ from .metrics import (Correlation, RankingScore, quality_ranks,
                       top_fraction_benchmark)
 from .projection import ProjectionParams, project_graph, project_rating
 from .ranking import (ALGORITHMS, RankingConfig, RankingResult, rank,
-                      rank_cr, rank_ir, rank_mean, rank_rr, residual)
+                      rank_cr, rank_ir, rank_mean, rank_rr)
 from .sweep import (Optimum, RealSource, SweepGrid, SynthSource, TableRow,
                     compare_table, find_optimum, grid_values, run_sweep)
 from .synth import (CASES, SynthSpec, SynthTruth, TruthFormatError,
@@ -28,6 +28,5 @@ __all__ = [
     "inject_spam", "load_benchmark", "project_graph", "project_rating",
     "quality_ranks", "rank", "rank_cr", "rank_ir", "rank_mean", "rank_rr",
     "ranking_score", "read_truth", "reputation_error_correlation",
-    "residual", "run_sweep", "top_fraction_benchmark", "write_ratings_csv",
-    "write_truth",
+    "run_sweep", "top_fraction_benchmark", "write_ratings_csv", "write_truth",
 ]

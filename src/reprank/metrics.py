@@ -37,8 +37,8 @@ class Correlation(NamedTuple):
 def quality_ranks(qualities: np.ndarray) -> np.ndarray:
     """1-based descending midranks of a quality vector.
 
-    Ties share the average of their positions. NaN entries (unrated
-    sentinel) rank after every finite quality, midranked among themselves.
+    Ties share the average of their positions. NaN entries rank after
+    every finite quality, midranked among themselves.
     """
     q = np.asarray(qualities, dtype=np.float64)
     if q.ndim != 1 or q.size == 0:

@@ -14,9 +14,13 @@ ir, cr and rr share one loop, `_fixed_point`. Each iteration weights the
 ratings by the previous reputations into item qualities (an item whose
 raters all carry zero reputation keeps its plain mean), then calls the
 algorithm's step(q, rep) -> (q, rep), which may adjust the qualities (rr's
-penalty) and returns the new reputations. Iteration stops when `residual`,
-the mean squared change of the quality vector, drops below delta. Items
-nobody rated keep a NaN quality sentinel, which the residual ignores.
+penalty) and returns the new reputations. Iteration stops when the mean
+squared change of the quality vector drops below delta; a step that yields
+a non-finite quality or reputation is an error.
+
+Every ranker needs each user and each item to carry at least one link: a
+user without ratings has no reputation and an item without raters no
+quality. `_operators` checks this once per call and raises ValueError.
 
 Per-user and per-item sums are products with CSR operators built once per
 rank call on the graph's `user_ptr` (`_operators`): Aᵀ·y sums y over each
@@ -49,36 +53,20 @@ class RankingConfig:
         _require(self.algorithm in ALGORITHMS,
                  f"unknown algorithm {self.algorithm!r}; "
                  f"expected one of {ALGORITHMS}")
-        _require(self.beta >= 0, "beta must be >= 0")
-        _require(self.epsilon > 0, "epsilon must be > 0")
-        _require(self.theta > 0, "theta must be > 0")
-        _require(self.delta > 0, "delta must be > 0")
+        _require(0 <= self.beta < np.inf, "beta must be finite and >= 0")
+        _require(0 < self.epsilon < np.inf, "epsilon must be finite and > 0")
+        _require(0 < self.theta < np.inf, "theta must be finite and > 0")
+        _require(0 < self.delta < np.inf, "delta must be finite and > 0")
         _require(self.max_iterations >= 1, "max_iterations must be >= 1")
 
 
 @dataclass(frozen=True)
 class RankingResult:
     reputations: np.ndarray   # per user
-    qualities: np.ndarray     # per item, NaN where unrated
+    qualities: np.ndarray     # per item
     iterations_used: int
     converged: bool
     final_residual: float
-
-
-def residual(q_new: np.ndarray, q_old: np.ndarray) -> float:
-    """Mean squared difference between consecutive quality vectors.
-
-    Entries that are NaN in both vectors (the unrated-item sentinel)
-    contribute zero but still count in the mean.
-    """
-    q_new = np.asarray(q_new, dtype=np.float64)
-    q_old = np.asarray(q_old, dtype=np.float64)
-    _require(q_new.shape == q_old.shape and q_new.ndim == 1,
-             "quality vectors must be 1-D of equal length")
-    if q_new.size == 0:
-        return 0.0
-    d = (q_new - q_old)[~(np.isnan(q_new) & np.isnan(q_old))]
-    return float(np.sum(d * d) / q_new.size)
 
 
 def _require(cond: bool, message: str) -> None:
@@ -96,10 +84,15 @@ class _Operators:
     At: sp.csc_array         # item x user, 1 per link: Aᵀ·y sums per item
     Rt: sp.csc_array         # item x user, the ratings
     L: sp.csr_array          # user x link, 1 per link: L·v sums v per user
-    plain_mean: np.ndarray   # mean rating per item, NaN where unrated
+    plain_mean: np.ndarray   # mean rating per item
 
 
 def _operators(graph: RatingGraph) -> _Operators:
+    """Every ranker's operators; the one check that each user and item
+    carries a link."""
+    _require(graph.num_links > 0, "the graph has no ratings")
+    _require((graph.user_degrees > 0).all(),
+             "every user must have rated at least one item")
     ones = np.ones(graph.num_links)
     A = sp.csr_array((ones, graph.items, graph.user_ptr),
                      shape=(graph.num_users, graph.num_items))
@@ -108,25 +101,17 @@ def _operators(graph: RatingGraph) -> _Operators:
     At, Rt = A.T, _like(A, graph.ratings).T     # transposed views
     ones = np.ones(graph.num_users)
     counts = At @ ones
-    plain_mean = np.full(graph.num_items, np.nan)
-    np.divide(Rt @ ones, counts, out=plain_mean, where=counts > 0)
-    return _Operators(At, Rt, L, plain_mean)
+    _require((counts > 0).all(), "every item must have at least one rating")
+    return _Operators(At, Rt, L, Rt @ ones / counts)
 
 
 def _weighted_quality(ops, rep):
-    """Reputation-weighted mean rating per item, NaN where unrated; items
-    whose raters carry zero total reputation keep the plain mean."""
+    """Reputation-weighted mean rating per item; items whose raters carry
+    zero total reputation keep the plain mean."""
     wtot = ops.At @ rep
     q = ops.plain_mean.copy()
     np.divide(ops.Rt @ rep, wtot, out=q, where=wtot > 0)
     return q
-
-
-def _reputation_operators(graph: RatingGraph) -> _Operators:
-    """ir, cr and rr's operators: a reputation needs the user's ratings."""
-    _require(not (graph.user_degrees == 0).any(),
-             "every user must have rated at least one item")
-    return _operators(graph)
 
 
 def rank_mean(graph: RatingGraph) -> RankingResult:
@@ -135,13 +120,23 @@ def rank_mean(graph: RatingGraph) -> RankingResult:
                          _operators(graph).plain_mean, 1, True, 0.0)
 
 
-def _fixed_point(ops, cfg, rep, step, trace=None) -> RankingResult:
+def _residual(q, q_prev) -> float:
+    """Mean squared change between consecutive quality vectors."""
+    d = q - q_prev
+    return float(np.sum(d * d) / q.size)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _fixed_point(name, ops, cfg, rep, step, trace=None) -> RankingResult:
     """The schedule shared by ir, cr and rr.
 
     Starting from the reputations `rep`, each iteration computes the
     reputation-weighted qualities q from the previous reputations, then
     calls step(q, rep), which returns this iteration's (qualities,
-    reputations). Iteration stops once the residual between consecutive
+    reputations). A non-finite value among them, such as an overflowing
+    ir power, raises ValueError naming algorithm `name` and the iteration;
+    numpy's overflow and invalid warnings are off, as that check reports
+    what they would. Iteration stops once the residual between consecutive
     qualities drops below cfg.delta, or after cfg.max_iterations; with a
     single iteration the residual is unknown (inf). `trace`, if given,
     collects (qualities, reputations) copies.
@@ -150,10 +145,13 @@ def _fixed_point(ops, cfg, rep, step, trace=None) -> RankingResult:
     for iterations in range(1, cfg.max_iterations + 1):
         q = _weighted_quality(ops, rep)
         q, rep = step(q, rep)
+        if not (np.isfinite(q).all() and np.isfinite(rep).all()):
+            raise ValueError(f"{name} iteration {iterations} gave a "
+                             "non-finite quality or reputation")
         if trace is not None:
             trace.append((q.copy(), rep.copy()))
         if iterations > 1:
-            res = residual(q, q_prev)
+            res = _residual(q, q_prev)
             if res < cfg.delta:
                 return RankingResult(rep, q, iterations, True, res)
         q_prev = q
@@ -163,7 +161,7 @@ def _fixed_point(ops, cfg, rep, step, trace=None) -> RankingResult:
 def rank_ir(graph: RatingGraph, config: RankingConfig | None = None) -> RankingResult:
     """Iterative refinement: reputation is an inverse power of rating MSE."""
     cfg = config or RankingConfig(algorithm="ir")
-    ops = _reputation_operators(graph)
+    ops = _operators(graph)
     d = np.empty(graph.num_links)
     D = _like(ops.L, d)     # a view of d: D @ d sums d² per user, per step
 
@@ -172,7 +170,7 @@ def rank_ir(graph: RatingGraph, config: RankingConfig | None = None) -> RankingR
         mse = D @ d / graph.user_degrees
         return q, (mse + cfg.epsilon) ** (-cfg.beta)
 
-    return _fixed_point(ops, cfg, np.ones(graph.num_users), step)
+    return _fixed_point("ir", ops, cfg, np.ones(graph.num_users), step)
 
 
 def _pearson_by_user(graph, ops):
@@ -211,11 +209,9 @@ def _pearson_by_user(graph, ops):
 
 
 def _correlation_start(graph: RatingGraph):
-    """Checks the cr/rr preconditions; returns the operators, corr(q) and
-    the initial reputations, each user's degree over the item count."""
-    ops = _reputation_operators(graph)
-    _require(not np.isnan(ops.plain_mean).any(),
-             "every item must have at least one rating")
+    """cr and rr's operators, corr(q) and initial reputations, each user's
+    degree over the item count."""
+    ops = _operators(graph)
     return (ops, _pearson_by_user(graph, ops),
             graph.user_degrees / graph.num_items)
 
@@ -239,7 +235,7 @@ def rank_cr(
     def step(q, _):
         return q, np.maximum(corr(q), 0.0)
 
-    return _fixed_point(ops, cfg, rep0, step, trace)
+    return _fixed_point("cr", ops, cfg, rep0, step, trace)
 
 
 def rank_rr(
@@ -270,7 +266,7 @@ def rank_rr(
     damping = np.ones(graph.num_users)
     if use_damping:
         logk = np.log10(graph.user_degrees.astype(np.float64))
-        top = logk.max() if logk.size else 0.0
+        top = logk.max()
         damping = logk / top if top > 0 else np.zeros_like(logk)
 
     def step(q, rep):
@@ -289,7 +285,7 @@ def rank_rr(
         rep = powered * (trust.sum() / mass) if mass > 0 else np.zeros_like(trust)
         return q, rep
 
-    return _fixed_point(ops, cfg, rep0, step, trace)
+    return _fixed_point("rr", ops, cfg, rep0, step, trace)
 
 
 def rank(graph: RatingGraph, config: RankingConfig) -> RankingResult:

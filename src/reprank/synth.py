@@ -212,9 +212,9 @@ def inject_spam(
 
 def _compact(edges: tuple, truth: SynthTruth) -> tuple[tuple, SynthTruth]:
     """Drop zero-degree users and items from links and truth; preferential
-    attachment can leave a few nodes untouched and the correlation-based
-    rankers require every node to carry at least one link. Relabelling
-    keeps node order, so the canonical (user, item) link order holds."""
+    attachment can leave a few nodes untouched and every ranker requires
+    every node to carry at least one link. Relabelling keeps node order,
+    so the canonical (user, item) link order holds."""
     users, items = edges
     keep_u = np.bincount(users, minlength=truth.num_users) > 0
     keep_i = np.bincount(items, minlength=truth.num_items) > 0

@@ -247,6 +247,20 @@ def test_eval_rejects_bad_fraction(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("beta, message", [
+    ("40", "error: ir iteration 2 gave a non-finite quality or reputation"),
+    ("inf", "error: beta must be finite"),
+], ids=["40", "inf"])
+def test_eval_rejects_non_finite_ir(tmp_path, capsys, beta, message):
+    # beta=40 overflows epsilon**-beta once the qualities fit some users
+    out = tmp_path / "metrics.txt"
+    rc = main(["eval", *SOURCE_ARGS, "--algorithm", "ir", "--beta", beta,
+               "--out", str(out)])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def sweep_file(tmp_path, name, *extra):
     out = tmp_path / f"{name}.csv"
     rc = main(["sweep", *SOURCE_ARGS, "--algorithm", "cr",

@@ -3,10 +3,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from reprank.graph import (BenchmarkSet, DuplicatePairError, IdMap,
-                           IngestError, RatingGraph, ingest_ratings,
-                           load_benchmark, write_ratings_csv)
+from reprank.graph import (FORMATS, MOVIELENS, BenchmarkSet,
+                           DuplicatePairError, IdMap, IngestError,
+                           RatingGraph, ingest_ratings, load_benchmark,
+                           write_ratings_csv)
+from reprank.ranking import rank_mean
 
 
 def small_graph():
@@ -195,6 +198,31 @@ def test_ingest_rejects_input_without_ratings():
     for text in ("", "# only a comment\n", "user_id,item_id,rating\n\n"):
         with pytest.raises(IngestError, match="no ratings found"):
             ingest_ratings(io.StringIO(text))
+
+
+@st.composite
+def rating_files(draw):
+    """(text, format): arbitrary text, or lines that are mostly records of
+    the format's width with valid and invalid fields mixed."""
+    fmt = draw(st.sampled_from(FORMATS))
+    sep, extra = ("::", 1) if fmt == MOVIELENS else (",", 0)
+    ident = st.sampled_from(["a", "b", " 1", "", "#"])
+    rating = st.sampled_from(["1", " 2.5", "5", "6", "nan", "x"])
+    record = st.tuples(ident, ident, rating, *[ident] * extra).map(sep.join)
+    line = st.one_of(record, st.text(max_size=10))
+    lines = st.lists(line, max_size=8).map("\n".join)
+    return draw(st.one_of(st.text(), lines)), fmt
+
+
+@settings(max_examples=200)
+@given(rating_files())
+def test_ingest_gives_a_rankable_graph_or_an_ingest_error(file):
+    text, fmt = file
+    try:
+        result = ingest_ratings(io.StringIO(text), fmt=fmt)
+    except IngestError:
+        return
+    rank_mean(result.graph)     # every user and item carries a link
 
 
 def test_csv_round_trip(tmp_path):

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nets import random_bipartite
 from oracle import oracle_ir, oracle_rr
 from reprank.graph import RatingGraph
-from reprank.ranking import (RankingConfig, rank, rank_cr, rank_ir, rank_mean,
-                             rank_rr, residual)
+from reprank.ranking import (ALGORITHMS, RankingConfig, _residual, rank,
+                             rank_cr, rank_ir, rank_mean, rank_rr)
 
 
 def test_config_validation():
@@ -24,35 +25,40 @@ def test_config_validation():
         RankingConfig(delta=0.0)
     with pytest.raises(ValueError, match="max_iterations"):
         RankingConfig(max_iterations=0)
+    for name in ("beta", "epsilon", "theta", "delta"):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            RankingConfig(**{name: math.inf})
 
 
 def test_residual():
-    assert residual([1.0, 2.0], [1.0, 2.0]) == 0.0
-    assert residual([1.0, 3.0], [2.0, 1.0]) == pytest.approx(2.5)
-    assert residual([], []) == 0.0
-    # NaN in both vectors is the unrated sentinel: zero weight, still counted
-    assert residual([1.0, math.nan], [2.0, math.nan]) == 0.5
-    with pytest.raises(ValueError):
-        residual([1.0], [1.0, 2.0])
+    assert _residual(np.array([1.0, 2.0]), np.array([1.0, 2.0])) == 0.0
+    assert _residual(np.array([1.0, 3.0]), np.array([2.0, 1.0])) == 2.5
 
 
 def test_mean_ranking():
-    g = RatingGraph.build(3, 3, [0, 1, 2, 0, 1], [0, 0, 0, 1, 1],
-                          [5, 4, 3, 1, 2])
-    res = rank_mean(g)
-    assert res.qualities[0] == pytest.approx(4.0)
-    assert res.qualities[1] == pytest.approx(1.5)
-    assert math.isnan(res.qualities[2])  # nobody rated item 2
+    users, items, ratings = [0, 1, 2, 0, 1], [0, 0, 0, 1, 1], [5, 4, 3, 1, 2]
+    res = rank_mean(RatingGraph.build(3, 2, users, items, ratings))
+    assert res.qualities.tolist() == [4.0, 1.5]
     assert res.reputations.tolist() == [1.0, 1.0, 1.0]
     assert res.converged and res.iterations_used == 1
     assert res.final_residual == 0.0
+    unrated = RatingGraph.build(3, 3, users, items, ratings)  # item 2
+    with pytest.raises(ValueError, match="every item must have at least"):
+        rank_mean(unrated)
 
 
-def test_ir_handles_unrated_items():
+def test_ir_rejects_unrated_items():
     g = RatingGraph.build(2, 3, [0, 1], [0, 1], [4, 2])
-    res = rank_ir(g)
-    assert math.isnan(res.qualities[2])
-    assert res.converged
+    with pytest.raises(ValueError, match="every item must have at least"):
+        rank_ir(g)
+
+
+def test_ir_overflow_is_an_error():
+    # users whose ratings match the qualities exactly have reputation
+    # epsilon**-beta, which overflows at beta=40
+    g = RatingGraph.build(2, 2, [0, 0, 1, 1], [0, 1, 0, 1], [5, 2, 5, 2])
+    with pytest.raises(ValueError, match="ir iteration 1 gave a non-finite"):
+        rank_ir(g, RankingConfig(algorithm="ir", beta=40.0))
 
 
 def test_ir_requires_rating_users():
@@ -76,7 +82,7 @@ def test_ir_beta_zero_is_mean():
     g = random_bipartite(rng)
     res = rank_ir(g, RankingConfig(algorithm="ir", beta=0.0))
     np.testing.assert_allclose(res.qualities, rank_mean(g).qualities,
-                               atol=1e-12, equal_nan=True)
+                               atol=1e-12)
     assert res.converged
 
 
@@ -119,7 +125,7 @@ def test_cr_equals_stripped_rr_per_iteration():
     rank_rr(g, cfg, use_penalty=False, use_damping=False, trace=tr_rr)
     assert len(tr_cr) == len(tr_rr) >= 2
     for (q1, r1), (q2, r2) in zip(tr_cr, tr_rr):
-        np.testing.assert_allclose(q1, q2, atol=1e-12, equal_nan=True)
+        np.testing.assert_allclose(q1, q2, atol=1e-12)
         np.testing.assert_allclose(r1, r2, atol=1e-12)
 
 
@@ -163,14 +169,56 @@ def test_quality_bounds():
     g = random_bipartite(rng)
     for res in (rank_mean(g), rank_ir(g), rank_cr(g),
                 rank_rr(g, use_penalty=False)):
-        q = res.qualities[~np.isnan(res.qualities)]
+        q = res.qualities
         assert q.min() >= 1.0 - 1e-9 and q.max() <= 5.0 + 1e-9
     # the penalty factor min(1, top rater reputation) lies in [0, 1], so it
     # can only mark a weighted mean down, never above the rating scale
     res = rank_rr(g)
-    q = res.qualities[~np.isnan(res.qualities)]
+    q = res.qualities
     assert q.min() >= 0.0 and q.max() <= 5.0 + 1e-9
     assert (res.reputations >= 0).all()
+
+
+@settings(deadline=None)     # rr runs up to 1000 iterations where it cycles
+@given(seed=st.integers(0, 2**32 - 1))
+def test_rankers_stay_in_their_ranges(seed):
+    g = random_bipartite(np.random.default_rng(seed))
+    lo, hi = g.ratings.min() - 1e-9, g.ratings.max() + 1e-9
+    for algorithm in ALGORITHMS:
+        res = rank(g, RankingConfig(algorithm=algorithm))
+        q, rep = res.qualities, res.reputations
+        assert np.isfinite(q).all() and np.isfinite(rep).all()
+        assert (rep >= 0).all()
+        if algorithm == "rr":
+            assert q.min() >= 0.0 and q.max() <= 5.0 + 1e-9
+        else:
+            assert q.min() >= lo and q.max() <= hi
+        if algorithm == "mean":
+            assert (rep == 1.0).all()
+        if algorithm == "cr":
+            assert rep.max() <= 1.0
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+def test_uncovered_graphs_are_rejected(seed):
+    # one silent user or one unrated item at a random index, or no nodes
+    rng = np.random.default_rng(seed)
+    g = random_bipartite(rng)
+    n_u, n_i = g.num_users, g.num_items
+    u, i = int(rng.integers(n_u + 1)), int(rng.integers(n_i + 1))
+    cases = [
+        (RatingGraph.build(n_u + 1, n_i, g.users + (g.users >= u), g.items,
+                           g.ratings),
+         "every user must have rated at least one item"),
+        (RatingGraph.build(n_u, n_i + 1, g.users, g.items + (g.items >= i),
+                           g.ratings),
+         "every item must have at least one rating"),
+        (RatingGraph.build(0, 0, [], [], []), "the graph has no ratings"),
+    ]
+    for h, message in cases:
+        for algorithm in ALGORITHMS:
+            with pytest.raises(ValueError, match=message):
+                rank(h, RankingConfig(algorithm=algorithm))
 
 
 def assert_matches(res, ref):
@@ -335,7 +383,6 @@ def test_relabeling_equivariance(algorithm):
     h, pu, pi = permute_graph(g, rng)
     cfg = RankingConfig(algorithm=algorithm)
     a, b = rank(g, cfg), rank(h, cfg)
-    np.testing.assert_allclose(b.qualities[pi], a.qualities,
-                               atol=1e-10, equal_nan=True)
+    np.testing.assert_allclose(b.qualities[pi], a.qualities, atol=1e-10)
     np.testing.assert_allclose(b.reputations[pu], a.reputations, atol=1e-10,
                                rtol=1e-10)
