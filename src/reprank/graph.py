@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, TextIO
 
@@ -59,6 +60,8 @@ class RatingGraph:
     items: np.ndarray      # link item indices, canonical order
     ratings: np.ndarray    # link weights, canonical order
     user_ptr: np.ndarray   # CSR offsets over canonical order, len num_users+1
+    # what depends only on the links, filled by ranking, shared by with_ratings
+    _topology: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def build(
@@ -105,6 +108,9 @@ class RatingGraph:
             a.setflags(write=False)
         return cls(num_users, num_items, users, items, ratings, user_ptr)
 
+    def __getstate__(self):
+        return {**vars(self), "_topology": {}}    # the cache is not pickled
+
     # -- derived views -------------------------------------------------
 
     @property
@@ -120,8 +126,13 @@ class RatingGraph:
         denom = self.num_users * self.num_items
         return self.num_links / denom if denom else 0.0
 
+    @cached_property
+    def links_rated_2_and_4(self) -> tuple[np.ndarray, np.ndarray]:
+        """Positions of the links rated exactly 2, and of those rated 4."""
+        return tuple(np.flatnonzero(self.ratings == v) for v in (2.0, 4.0))
+
     def with_ratings(self, ratings: np.ndarray) -> "RatingGraph":
-        """Copy of this graph with new link weights, topology unchanged."""
+        """Copy of this graph with new link weights; topology and cache shared."""
         ratings = np.asarray(ratings, dtype=np.float64)
         if ratings.shape != self.ratings.shape:
             raise ValueError("ratings length must match link count")

@@ -45,9 +45,10 @@ def project_rating(rating: float, params: ProjectionParams) -> float:
 
 
 def project_graph(graph: RatingGraph, params: ProjectionParams) -> RatingGraph:
-    """Remap all link weights of a graph; topology and link order unchanged."""
-    r = graph.ratings
-    out = r.copy()
-    out[np.flatnonzero(r == 2.0)] = 1.0 + params.p1 * 2.0
-    out[np.flatnonzero(r == 4.0)] = 3.0 + params.p2 * 2.0
+    """Remap all link weights of a graph; topology, link order and the
+    topology's cached ranking operators are shared with the source."""
+    twos, fours = graph.links_rated_2_and_4
+    out = graph.ratings.copy()
+    out[twos] = 1.0 + params.p1 * 2.0
+    out[fours] = 3.0 + params.p2 * 2.0
     return graph.with_ratings(out)

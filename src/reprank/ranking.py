@@ -16,16 +16,17 @@ raters all carry zero reputation keeps its plain mean), then calls the
 algorithm's step(q, rep) -> (q, rep), which may adjust the qualities (rr's
 penalty) and returns the new reputations. Iteration stops when the mean
 squared change of the quality vector drops below delta; a step that yields
-a non-finite quality or reputation is an error.
+a non-finite quality or reputation is an error. An item whose ratings are
+all r has quality exactly r before rr's penalty, whatever the reputations.
 
 Every ranker needs each user and each item to carry at least one link: a
 user without ratings has no reputation and an item without raters no
-quality. `_operators` checks this once per call and raises ValueError.
+quality. `_operators` checks this and raises ValueError.
 
-Per-user and per-item sums are products with CSR operators built once per
-rank call on the graph's `user_ptr` (`_operators`): Aᵀ·y sums y over each
-item's raters and L·v a per-link v over each user's links, both in link
-order, as a sequential scan would.
+Per-user and per-item sums are products with CSR operators on the graph's
+`user_ptr` (`_operators`, cached with the topology): Aᵀ·y sums y over each
+item's raters, and one on A's pattern holding a per-link v sums v over each
+user's links, both in link order, as a sequential scan would.
 """
 
 from __future__ import annotations
@@ -81,36 +82,43 @@ def _like(op, values):
 
 @dataclass(frozen=True)
 class _Operators:
-    At: sp.csc_array         # item x user, 1 per link: Aᵀ·y sums per item
+    A: sp.csr_array          # user x item, 1 per link
+    At: sp.csc_array         # its transpose: Aᵀ·y sums y per item
     Rt: sp.csc_array         # item x user, the ratings
-    L: sp.csr_array          # user x link, 1 per link: L·v sums v per user
     plain_mean: np.ndarray   # mean rating per item
+    constant: np.ndarray     # the items whose ratings are all equal
 
 
 def _operators(graph: RatingGraph) -> _Operators:
-    """Every ranker's operators; the one check that each user and item
-    carries a link."""
-    _require(graph.num_links > 0, "the graph has no ratings")
-    _require((graph.user_degrees > 0).all(),
-             "every user must have rated at least one item")
-    ones = np.ones(graph.num_links)
-    A = sp.csr_array((ones, graph.items, graph.user_ptr),
-                     shape=(graph.num_users, graph.num_items))
-    L = sp.csr_array((ones, np.arange(graph.num_links), graph.user_ptr),
-                     shape=(graph.num_users, graph.num_links))
-    At, Rt = A.T, _like(A, graph.ratings).T     # transposed views
-    ones = np.ones(graph.num_users)
-    counts = At @ ones
-    _require((counts > 0).all(), "every item must have at least one rating")
-    return _Operators(At, Rt, L, Rt @ ones / counts)
+    """Every ranker's operators. A and the rater counts are cached with the
+    topology after the coverage check; the rest is built from the ratings."""
+    if "A" not in graph._topology:
+        _require(graph.num_links > 0, "the graph has no ratings")
+        _require((graph.user_degrees > 0).all(),
+                 "every user must have rated at least one item")
+        A = sp.csr_array((np.ones(graph.num_links), graph.items, graph.user_ptr),
+                         shape=(graph.num_users, graph.num_items))
+        counts = A.T @ np.ones(graph.num_users)
+        _require((counts > 0).all(), "every item must have at least one rating")
+        graph._topology["A"] = A, counts
+    A, counts = graph._topology["A"]
+    hi, lo = np.full((2, graph.num_items), [[-np.inf], [np.inf]])
+    np.maximum.at(hi, graph.items, graph.ratings)
+    np.minimum.at(lo, graph.items, graph.ratings)
+    constant = np.flatnonzero(hi == lo)
+    Rt = _like(A, graph.ratings).T
+    plain_mean = Rt @ np.ones(graph.num_users) / counts
+    plain_mean[constant] = hi[constant]
+    return _Operators(A, A.T, Rt, plain_mean, constant)
 
 
 def _weighted_quality(ops, rep):
     """Reputation-weighted mean rating per item; items whose raters carry
-    zero total reputation keep the plain mean."""
+    zero total reputation, and constant-rating items, keep the plain mean."""
     wtot = ops.At @ rep
     q = ops.plain_mean.copy()
     np.divide(ops.Rt @ rep, wtot, out=q, where=wtot > 0)
+    q[ops.constant] = ops.plain_mean[ops.constant]
     return q
 
 
@@ -139,8 +147,10 @@ def _fixed_point(name, ops, cfg, rep, step, trace=None) -> RankingResult:
     what they would. Iteration stops once the residual between consecutive
     qualities drops below cfg.delta, or after cfg.max_iterations; with a
     single iteration the residual is unknown (inf). `trace`, if given,
-    collects (qualities, reputations) copies.
+    collects (qualities, reputations) copies. cfg must be for `name`.
     """
+    _require(cfg.algorithm == name,
+             f"rank_{name} was given a config for {cfg.algorithm!r}")
     res = float("inf")
     for iterations in range(1, cfg.max_iterations + 1):
         q = _weighted_quality(ops, rep)
@@ -163,11 +173,12 @@ def rank_ir(graph: RatingGraph, config: RankingConfig | None = None) -> RankingR
     cfg = config or RankingConfig(algorithm="ir")
     ops = _operators(graph)
     d = np.empty(graph.num_links)
-    D = _like(ops.L, d)     # a view of d: D @ d sums d² per user, per step
+    D = _like(ops.A, d)     # a view of d: D @ ones sums d per user, per step
 
     def step(q, _):
         np.subtract(graph.ratings, q[graph.items], out=d)
-        mse = D @ d / graph.user_degrees
+        np.multiply(d, d, out=d)
+        mse = D @ np.ones(graph.num_items) / graph.user_degrees
         return q, (mse + cfg.epsilon) ** (-cfg.beta)
 
     return _fixed_point("ir", ops, cfg, np.ones(graph.num_users), step)
@@ -176,32 +187,47 @@ def rank_ir(graph: RatingGraph, config: RankingConfig | None = None) -> RankingR
 def _pearson_by_user(graph, ops):
     """Per-user Pearson correlation of (ratings, item qualities).
 
-    The rating side (means, centred ratings, their sum of squares and the
-    spread test) is fixed for the graph and computed here once; the
-    returned corr(q) computes the quality side for the current qualities,
-    centred before the products that L sums: raw moments would cancel.
-    Degenerate users (either vector constant) get 0. Constancy is tested
-    exactly, max == min: mean subtraction alone cannot certify zero
-    variance in floating point.
+    The rating side (centred ratings on A's pattern, DR, their sum of
+    squares and the spread test) is fixed for the graph and computed here
+    once. corr(q) takes the quality side from raw moments, with no per-link
+    gather: DR·q (centred ratings sum to 0), Σq = A·q and Σq² = A·q², so
+    ss_q = Σq² − (Σq)²/k, exact to about k·eps·Σq². Users with ss_q <=
+    1e-2·Σq² take the exact two-pass path on their own links: qualities
+    centred before the products, and tested for constancy exactly, max ==
+    min, as mean subtraction alone cannot certify zero variance in floating
+    point. The bound is far above k·eps at any degree (1.2e-13 at 530, the
+    paper-scale maximum), so users with constant qualities take that path,
+    and the raw moments' relative error stays below k·eps/1e-2 for the
+    rest. Degenerate users (either vector constant) get 0.
     """
     k = graph.user_degrees
     starts = graph.user_ptr[:-1]
     r = graph.ratings
-    DR = _like(ops.L, r - np.repeat(ops.L @ r / k, k))   # centred ratings
-    ss_r = DR @ DR.data
+    ones = np.ones(graph.num_items)     # A-pattern op @ ones: sums per user
+    DR = _like(ops.A, r - np.repeat(ops.Rt.T @ ones / k, k))   # centred
+    ss_r = _like(ops.A, DR.data * DR.data) @ ones
     r_spread = np.maximum.reduceat(r, starts) > np.minimum.reduceat(r, starts)
 
     def corr(q):
-        dq = q[graph.items]
-        good = r_spread & (np.maximum.reduceat(dq, starts)
-                           > np.minimum.reduceat(dq, starts))
-        dq -= np.repeat(ops.L @ dq / k, k)
-        num = DR @ dq
-        ss_q = _like(ops.L, dq) @ dq
-        den = np.sqrt(ss_r * ss_q)
-        good &= den != 0.0
+        s1, s2 = ops.A @ q, ops.A @ (q * q)
+        ss_q = s2 - s1 * s1 / k
+        num = DR @ q
+        good = r_spread & (ss_q > 1e-2 * s2)
+        c = np.flatnonzero(r_spread & ~good)
+        if c.size:      # the exact two-pass path, on these users' links
+            kc = k[c]
+            ptr = np.append(0, np.cumsum(kc))
+            at = np.arange(ptr[-1]) + np.repeat(starts[c] - ptr[:-1], kc)
+            L = sp.csr_array((np.ones(at.size), np.arange(at.size), ptr))
+            dq = q[graph.items[at]]
+            good[c] = (np.maximum.reduceat(dq, ptr[:-1])
+                       > np.minimum.reduceat(dq, ptr[:-1]))
+            dq -= np.repeat(L @ dq / kc, kc)
+            num[c] = L @ (DR.data[at] * dq)
+            ss_q[c] = L @ (dq * dq)
+        den = np.sqrt(np.where(good, ss_r * ss_q, 0.0))
         out = np.zeros(graph.num_users)
-        out[good] = num[good] / den[good]
+        np.divide(num, den, out=out, where=den > 0.0)
         np.clip(out, -1.0, 1.0, out=out)
         return out
 
@@ -261,7 +287,9 @@ def rank_rr(
     """
     cfg = config or RankingConfig(algorithm="rr")
     ops, corr, rep0 = _correlation_start(graph)
-    raters = ops.At.tocsr()     # each item's raters, in link order
+    if "raters" not in graph._topology:     # each item's, in link order
+        graph._topology["raters"] = ops.At.tocsr()
+    raters = graph._topology["raters"]
 
     damping = np.ones(graph.num_users)
     if use_damping:

@@ -112,11 +112,13 @@ def oracle_ir(links, num_users, num_items, beta=1.0, epsilon=1e-8,
 
 def oracle_rr(links, num_users, num_items, theta=5.0, delta=0.0,
               max_iterations=CAP, use_penalty=True, use_damping=True,
-              trace=None):
+              trace=None, noise=None):
     """Correlation-trust iteration; with both factors off and theta=1 this
     is the plain correlation method. The penalty scales an item's weighted
     mean by its top rater reputation, capped at 1. `trace`, if given,
-    collects each iteration's (qualities, reputations) lists."""
+    collects each iteration's (qualities, reputations) lists; `noise`, if
+    given, maps each iteration's reputations (a dict) to the ones the next
+    iteration uses, to measure how far rounding moves the result."""
     by_user, by_item = _index(links)
     deg = {u: len(v) for u, v in by_user.items()}
     rep = {u: deg[u] / num_items for u in by_user}
@@ -165,6 +167,8 @@ def oracle_rr(links, num_users, num_items, theta=5.0, delta=0.0,
             rep = {u: (t ** theta) * total / mass for u, t in trust.items()}
         else:
             rep = {u: 0.0 for u in trust}
+        if noise is not None:
+            rep = noise(rep)
         if trace is not None:
             trace.append(([q.get(i, math.nan) for i in range(num_items)],
                           [rep.get(u, 0.0) for u in range(num_users)]))

@@ -12,6 +12,7 @@ import functools
 import math
 import os
 import time
+from dataclasses import replace
 from itertools import combinations, product
 
 import numpy as np
@@ -117,7 +118,7 @@ def test_c2_structural_reductions():
     for _ in range(20):
         graph = random_bipartite(rng)
         trace_cr, trace_rr = [], []
-        rank_cr(graph, strip, trace=trace_cr)
+        rank_cr(graph, replace(strip, algorithm="cr"), trace=trace_cr)
         rank_rr(graph, strip, use_penalty=False, use_damping=False,
                 trace=trace_rr)
         assert len(trace_cr) == len(trace_rr) >= 2

@@ -1,14 +1,21 @@
 import math
+import pickle
+import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nets import random_bipartite
 from oracle import oracle_ir, oracle_rr
+from reprank import ranking
 from reprank.graph import RatingGraph
+from reprank.metrics import ranking_score, top_fraction_benchmark
+from reprank.projection import ProjectionParams, project_graph, project_rating
 from reprank.ranking import (ALGORITHMS, RankingConfig, _residual, rank,
                              rank_cr, rank_ir, rank_mean, rank_rr)
+from reprank.synth import SynthSpec, generate_network
 
 
 def test_config_validation():
@@ -95,11 +102,14 @@ def test_ir_perfect_consensus_hits_epsilon_ceiling():
     assert res.qualities.tolist() == [5.0, 2.0]
 
 
+RANKERS = (("ir", rank_ir), ("cr", rank_cr), ("rr", rank_rr))
+
+
 def test_single_iteration_reports_unknown_residual():
     rng = np.random.default_rng(12)
     g = random_bipartite(rng)
-    for fn in (rank_ir, rank_cr, rank_rr):
-        res = fn(g, RankingConfig(max_iterations=1))
+    for algorithm, fn in RANKERS:
+        res = fn(g, RankingConfig(algorithm=algorithm, max_iterations=1))
         assert res.iterations_used == 1
         assert not res.converged
         assert math.isinf(res.final_residual)
@@ -108,8 +118,9 @@ def test_single_iteration_reports_unknown_residual():
 def test_convergence_bookkeeping():
     rng = np.random.default_rng(13)
     g = random_bipartite(rng)
-    for fn in (rank_ir, rank_cr, rank_rr):
-        res = fn(g, RankingConfig(delta=1e-6, max_iterations=500))
+    for algorithm, fn in RANKERS:
+        res = fn(g, RankingConfig(algorithm=algorithm, delta=1e-6,
+                                  max_iterations=500))
         assert res.converged
         assert res.iterations_used >= 2
         assert res.final_residual < 1e-6
@@ -121,7 +132,7 @@ def test_cr_equals_stripped_rr_per_iteration():
     cfg = RankingConfig(algorithm="rr", theta=1.0, delta=1e-30,
                         max_iterations=40)
     tr_cr, tr_rr = [], []
-    rank_cr(g, cfg, trace=tr_cr)
+    rank_cr(g, replace(cfg, algorithm="cr"), trace=tr_cr)
     rank_rr(g, cfg, use_penalty=False, use_damping=False, trace=tr_rr)
     assert len(tr_cr) == len(tr_rr) >= 2
     for (q1, r1), (q2, r2) in zip(tr_cr, tr_rr):
@@ -221,16 +232,21 @@ def test_uncovered_graphs_are_rejected(seed):
                 rank(h, RankingConfig(algorithm=algorithm))
 
 
+def agrees(got, ref):
+    """Two result tuples (qualities, reputations, iterations, converged,
+    ...) share iteration count and convergence flag, and their values
+    agree within 1e-12 scaled by 1 + |ref|."""
+    if got[2] != ref[2] or got[3] != ref[3]:
+        return False
+    return all(np.max(np.abs(np.asarray(a) - np.asarray(b))
+                      / (1.0 + np.abs(np.asarray(b)))) <= 1e-12
+               for a, b in ((got[0], ref[0]), (got[1], ref[1])))
+
+
 def assert_matches(res, ref):
-    """Same iteration count and convergence flag as the reference result
-    (qualities, reputations, iterations, converged, residual), values
-    within 1e-12 scaled by 1 + |reference|."""
-    oq, orep, iterations, converged, _ = ref
-    assert res.iterations_used == iterations
-    assert res.converged == converged
-    for got, want in ((res.qualities, oq), (res.reputations, orep)):
-        want = np.asarray(want)
-        assert np.max(np.abs(got - want) / (1.0 + np.abs(want))) <= 1e-12
+    """A RankingResult agrees with the reference result tuple."""
+    assert agrees((res.qualities, res.reputations, res.iterations_used,
+                   res.converged), ref)
 
 
 def run_oracle(oracle, g, **kwargs):
@@ -386,3 +402,201 @@ def test_relabeling_equivariance(algorithm):
     np.testing.assert_allclose(b.qualities[pi], a.qualities, atol=1e-10)
     np.testing.assert_allclose(b.reputations[pu], a.reputations, atol=1e-10,
                                rtol=1e-10)
+
+
+def test_rankers_reject_a_config_for_another_algorithm():
+    g = random_bipartite(np.random.default_rng(26))
+    for algorithm, fn in RANKERS:
+        for other in ALGORITHMS:
+            if other != algorithm:
+                with pytest.raises(ValueError, match=f"rank_{algorithm} was "
+                                   f"given a config for '{other}'"):
+                    fn(g, RankingConfig(algorithm=other))
+
+
+# ------------------------------------------------ constant-rating items
+
+@pytest.mark.parametrize("p1", [0.05, 0.35])
+def test_constant_rating_items_rank_exactly(p1):
+    # an extra item rated 2 by up to 7 users, projected to 1.1 (p1 = 0.05)
+    # or 1.7: its weighted mean is that rating in exact arithmetic, whatever
+    # the reputations, and every ranker returns it exactly; rr's penalty
+    # then scales it by the top rater reputation, capped at 1
+    params = ProjectionParams(p1, 0.5)
+    r = project_rating(2.0, params)
+    rng = np.random.default_rng(27)
+    for _ in range(10):
+        g = random_bipartite(rng)
+        n, i = g.num_users, g.num_items
+        raters = rng.choice(n, size=min(n, 7), replace=False)
+        h = project_graph(RatingGraph.build(
+            n, i + 1, [*g.users, *raters], [*g.items, *[i] * raters.size],
+            [*g.ratings, *[2.0] * raters.size]), params)
+        for algorithm in ("mean", "ir", "cr"):
+            assert rank(h, RankingConfig(algorithm=algorithm)).qualities[i] == r
+        assert rank_rr(h, use_penalty=False).qualities[i] == r
+        tr = []
+        res = rank_rr(h, RankingConfig(max_iterations=20), trace=tr)
+        rep = tr[-2][1] if len(tr) > 1 else h.user_degrees / h.num_items
+        top = rep[raters].max()
+        assert res.qualities[i] == (r * min(top, 1.0) if top > 0 else r)
+
+
+def nudged(weighted_quality, rng):
+    """weighted_quality on reputations each moved one ulp, up or down at
+    random; zero reputations stay zero."""
+    def noisy(ops, rep):
+        away = np.where(rng.random(rep.size) < 0.5, np.inf, -np.inf)
+        return weighted_quality(ops, np.where(rep > 0, np.nextafter(rep, away),
+                                              rep))
+    return noisy
+
+
+@settings(deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       p1=st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+       p2=st.sampled_from([0.0, 0.5, 0.95, 1.0]))
+def test_ir_ranking_score_ignores_last_bit_reputation_noise(seed, p1, p2):
+    # Reputations carry rounding in their last bits. The ranking score
+    # must not depend on it: items tied in exact arithmetic must stay tied.
+    # ir's reputations are all positive, so on these networks only
+    # constant-rating items tie that way, and their quality is exact. (cr
+    # and rr give zero reputations, and an item whose positive-reputation
+    # raters agree ties with the constant items too; that is not covered.)
+    graph, truth = generate_network(SynthSpec(
+        num_users=200, num_items=150, num_links=4000, seed=seed))
+    graph = project_graph(graph, ProjectionParams(p1, p2))
+    benchmark = top_fraction_benchmark(truth, 0.05)
+    config = RankingConfig(algorithm="ir")
+    clean = rank(graph, config)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ranking, "_weighted_quality",
+                   nudged(ranking._weighted_quality,
+                          np.random.default_rng(seed)))
+        noisy = rank(graph, config)
+    assert (ranking_score(noisy.qualities, benchmark).value
+            == ranking_score(clean.qualities, benchmark).value)
+
+
+# --------------------------------------------- operators per topology
+
+def assert_identical(a, b):
+    assert a.qualities.tobytes() == b.qualities.tobytes()
+    assert a.reputations.tobytes() == b.reputations.tobytes()
+    assert ((a.iterations_used, a.converged, a.final_residual)
+            == (b.iterations_used, b.converged, b.final_residual))
+
+
+def same_links(g, ratings=None):
+    """A freshly built graph, with an empty cache, on g's links."""
+    return RatingGraph.build(g.num_users, g.num_items, g.users, g.items,
+                             g.ratings if ratings is None else ratings)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_cold_and_warm_topology_cache_rank_identically(algorithm):
+    config = RankingConfig(algorithm=algorithm)
+    rng = np.random.default_rng(28)
+    for _ in range(10):
+        g = random_bipartite(rng)
+        assert not g._topology
+        cold = rank(g, config)
+        assert "A" in g._topology
+        assert_identical(cold, rank(g, config))
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_projections_share_the_topology(algorithm):
+    config = RankingConfig(algorithm=algorithm)
+    rng = np.random.default_rng(29)
+    for _ in range(5):
+        g = random_bipartite(rng)
+        rank(g, config)
+        for p in ((0.0, 1.0), (0.05, 0.3), (1.0, 1.0)):
+            h = project_graph(g, ProjectionParams(*p))
+            assert h._topology is g._topology
+            assert_identical(rank(h, config),
+                             rank(same_links(g, h.ratings), config))
+
+
+def test_uncovered_graph_raises_every_time_and_caches_nothing():
+    silent_user = RatingGraph.build(3, 2, [0, 1], [0, 1], [4, 2])
+    unrated_item = RatingGraph.build(2, 3, [0, 1], [0, 1], [4, 2])
+    for g, message in ((silent_user, "rated at least one"),
+                       (unrated_item, "at least one rating")):
+        for _ in range(2):
+            for algorithm in ALGORITHMS:
+                with pytest.raises(ValueError, match=message):
+                    rank(g, RankingConfig(algorithm=algorithm))
+        assert not g._topology
+
+
+def test_equals_and_pickle_ignore_the_topology_cache():
+    g = random_bipartite(np.random.default_rng(30))
+    fresh = same_links(g)
+    config = RankingConfig(algorithm="rr")
+    rank(g, config)
+    assert set(g._topology) == {"A", "raters"}
+    assert g.equals(fresh) and fresh.equals(g)
+    assert pickle.dumps(g) == pickle.dumps(fresh)
+    copy = pickle.loads(pickle.dumps(g))
+    assert not copy._topology and copy.equals(g)
+    assert_identical(rank(copy, config), rank(g, config))
+
+
+# ------------------------------------------- raw moments, exact fallback
+
+RR_READING = dict(theta=5.0, delta=1e-8, max_iterations=200)
+
+
+@settings(deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+@example(seed=84)       # cr and rr: a 1e-9 cancellation bound misses the
+@example(seed=88)       # low-degree users whose raw moments cancel here
+@example(seed=1609)     # rr: transients that amplify last-bit differences
+def test_correlation_rankers_match_oracle(seed):
+    # cr and rr take the quality side of the Pearson from raw moments and
+    # the reference from the two-pass formula, so the two differ in the
+    # last bits. They must agree within 1e-12 scaled with the same
+    # iteration count, except where rounding decides the outcome: the
+    # traces split on an exact zero reputation, or the reference cycles or
+    # needs more than 50 iterations (as in test_rr_matches_oracle), or the
+    # reference itself moves past 1e-12 when each iteration's reputations
+    # carry 1e-12 relative noise, more than the raw moments' own error here
+    # (at most k·eps/1e-2 per correlation, k <= 20).
+    g = random_bipartite(np.random.default_rng(seed))
+    for fn, algorithm, kw in ((rank_cr, "cr", CR_READING),
+                              (rank_rr, "rr", RR_READING)):
+        tr, otr = [], []
+        res = fn(g, RankingConfig(algorithm=algorithm, theta=kw["theta"],
+                                  delta=1e-8, max_iterations=200), trace=tr)
+        ref = run_oracle(oracle_rr, g, trace=otr, **kw)
+        if (any(not np.array_equal(rep == 0.0, np.asarray(orep) == 0.0)
+                for (_, rep), (_, orep) in zip(tr, otr))
+                or not ref[3] or ref[2] > 50):
+            continue
+        if not agrees((res.qualities, res.reputations, res.iterations_used,
+                       res.converged), ref):
+            noise = random.Random(seed)
+            noisy = run_oracle(oracle_rr, g, noise=lambda rep: {
+                u: v * (1 + 1e-12 * noise.choice((-1, 1)))
+                for u, v in rep.items()}, **kw)
+            assert not agrees(noisy, ref), (algorithm, seed)
+
+
+def test_high_degree_user_with_equal_qualities_takes_the_exact_path():
+    # K x K cyclic Latin square of K distinct ratings: every item mean is
+    # the same in exact arithmetic, but summed in each item's rater order
+    # the first qualities differ in the last bits, so each user, of degree
+    # K, sees qualities whose raw moments cancel to rounding noise. Only the
+    # exact two-pass path gives the reference's correlations (and zero
+    # reputations) from those bits.
+    K = 60
+    vals = 1.0 + (np.arange(K) * 0.0671) % 4.0
+    users, items = zip(*((u, i) for u in range(K) for i in range(K)))
+    g = RatingGraph.build(K, K, users, items,
+                          [vals[(u + i) % K] for u, i in zip(users, items)])
+    q1 = assert_cr_matches_oracle(g)[0][0]
+    assert 0.0 < np.ptp(q1) <= 8 * np.spacing(q1.max())
+    s1, s2 = q1.sum(), (q1 * q1).sum()
+    assert s2 - s1 * s1 / K <= 1e-2 * s2
