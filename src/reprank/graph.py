@@ -37,6 +37,14 @@ class IngestError(ValueError):
         self.line = line
 
 
+class RatingClasses(NamedTuple):
+    """A graph's links grouped by rating: each class's value (increasing),
+    each link's class, and a cache of what rests on that grouping."""
+    values: np.ndarray
+    labels: np.ndarray
+    cache: dict
+
+
 class DuplicatePairError(ValueError):
     """A (user, item) pair occurs twice. Carries the pair's dense indices."""
 
@@ -108,8 +116,9 @@ class RatingGraph:
             a.setflags(write=False)
         return cls(num_users, num_items, users, items, ratings, user_ptr)
 
-    def __getstate__(self):
-        return {**vars(self), "_topology": {}}    # the cache is not pickled
+    def __getstate__(self):     # the caches are not pickled
+        return {**{k: v for k, v in vars(self).items()
+                   if k != "rating_classes"}, "_topology": {}}
 
     # -- derived views -------------------------------------------------
 
@@ -127,9 +136,13 @@ class RatingGraph:
         return self.num_links / denom if denom else 0.0
 
     @cached_property
-    def links_rated_2_and_4(self) -> tuple[np.ndarray, np.ndarray]:
-        """Positions of the links rated exactly 2, and of those rated 4."""
-        return tuple(np.flatnonzero(self.ratings == v) for v in (2.0, 4.0))
+    def rating_classes(self) -> RatingClasses:
+        """The links grouped by rating; a projection derives its own from
+        its source's (`projection.project_classes`)."""
+        values = np.unique(self.ratings)
+        labels = np.searchsorted(values, self.ratings)
+        return RatingClasses(values, labels.astype(
+            np.uint8 if values.size <= 256 else np.intp), {})
 
     def with_ratings(self, ratings: np.ndarray) -> "RatingGraph":
         """Copy of this graph with new link weights; topology and cache shared."""
@@ -140,6 +153,12 @@ class RatingGraph:
         ratings = ratings.copy()
         ratings.setflags(write=False)
         return replace(self, ratings=ratings)
+
+    def _with_classes(self, classes: RatingClasses) -> "RatingGraph":
+        """with_ratings on the ratings of `classes`, kept as its classes."""
+        out = self.with_ratings(classes.values.take(classes.labels))
+        vars(out)["rating_classes"] = classes    # as the cached_property would
+        return out
 
     def equals(self, other: "RatingGraph") -> bool:
         """Exact equality: same shape, same links, bit-equal ratings."""

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import RatingGraph
+from .graph import RatingClasses, RatingGraph
 
 
 @dataclass(frozen=True)
@@ -44,11 +44,25 @@ def project_rating(rating: float, params: ProjectionParams) -> float:
     return float(rating)
 
 
+def project_classes(classes: RatingClasses,
+                    params: ProjectionParams) -> RatingClasses:
+    """A projection's rating classes, from its source's: in O(classes) with
+    the source's grouping and cache where no two classes merge; a merge (p1
+    or p2 at 0 or 1) regroups the links once, kept in the source's cache."""
+    values = classes.values.copy()
+    values[classes.values == 2.0] = 1.0 + params.p1 * 2.0
+    values[classes.values == 4.0] = 3.0 + params.p2 * 2.0
+    if (np.diff(values) > 0).all():
+        return RatingClasses(values, classes.labels, classes.cache)
+    values, remap = np.unique(values, return_inverse=True)
+    key = remap.tobytes()
+    if key not in classes.cache:
+        labels = remap.astype(classes.labels.dtype)[classes.labels]
+        classes.cache[key] = labels, {}
+    return RatingClasses(values, *classes.cache[key])
+
+
 def project_graph(graph: RatingGraph, params: ProjectionParams) -> RatingGraph:
-    """Remap all link weights of a graph; topology, link order and the
-    topology's cached ranking operators are shared with the source."""
-    twos, fours = graph.links_rated_2_and_4
-    out = graph.ratings.copy()
-    out[twos] = 1.0 + params.p1 * 2.0
-    out[fours] = 3.0 + params.p2 * 2.0
-    return graph.with_ratings(out)
+    """Remap all link weights of a graph; topology and link order are shared
+    with the source, and so are its classes' operators where none merge."""
+    return graph._with_classes(project_classes(graph.rating_classes, params))

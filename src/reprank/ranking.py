@@ -16,22 +16,25 @@ raters all carry zero reputation keeps its plain mean), then calls the
 algorithm's step(q, rep) -> (q, rep), which may adjust the qualities (rr's
 penalty) and returns the new reputations. Iteration stops when the mean
 squared change of the quality vector drops below delta; a step that yields
-a non-finite quality or reputation is an error. An item whose ratings are
-all r has quality exactly r before rr's penalty, whatever the reputations.
+a non-finite quality or reputation is an error. An item whose
+positive-reputation raters all gave rating r has quality exactly r before
+rr's penalty. Every ranker needs each user and item to carry a link
+(`_operators` raises ValueError otherwise).
 
-Every ranker needs each user and each item to carry at least one link: a
-user without ratings has no reputation and an item without raters no
-quality. `_operators` checks this and raises ValueError.
-
-Per-user and per-item sums are products with CSR operators on the graph's
-`user_ptr` (`_operators`, cached with the topology): Aᵀ·y sums y over each
-item's raters, and one on A's pattern holding a per-link v sums v over each
-user's links, both in link order, as a sequential scan would.
+Sums run over (node, class) pairs, the classes being a graph's distinct
+ratings: `_operators` builds (item, class) pairs x users and (user, class)
+pairs x items, 1 per link, a node's pairs in the order of their first
+links. The loop runs K columns, each a set of class values on one grouping
+of the links (a sweep's projections); each stops at its own convergence.
+Each operation acts on each column alone (scipy's sparse products sum a
+column as a single-vector product does), so a column's result is exactly
+that of the K = 1 run `rank` makes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -75,171 +78,216 @@ def _require(cond: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def _like(op, values):
-    """A CSR operator with op's pattern on a view of the per-link `values`."""
-    return sp.csr_array((values, op.indices, op.indptr), shape=op.shape)
+class _Side(NamedTuple):
+    """(node, class) pairs x the other side's nodes, 1 per link; node x its
+    pairs, 1 per pair; and each pair's node, class and link count."""
+    pairs: sp.csr_array
+    nodes: sp.csr_array
+    node: np.ndarray
+    cls: np.ndarray
+    count: np.ndarray
 
 
-@dataclass(frozen=True)
-class _Operators:
-    A: sp.csr_array          # user x item, 1 per link
-    At: sp.csc_array         # its transpose: Aᵀ·y sums y per item
-    Rt: sp.csc_array         # item x user, the ratings
-    plain_mean: np.ndarray   # mean rating per item
-    constant: np.ndarray     # the items whose ratings are all equal
+def _side(node, n_nodes, other, n_other, classes, ones) -> _Side:
+    n, idx = node.size, (np.int32 if node.size < 2**31 else np.int64)
+    key = node * classes.values.size + classes.labels
+    if key.max() > 4 * n:       # many classes: number the pairs that occur
+        key = np.unique(key, return_inverse=True)[1]
+    first = np.full(key.max() + 1, n, dtype=idx)
+    np.minimum.at(first, key, np.arange(n, dtype=idx))
+    first = first[first < n]
+    first = first[np.lexsort((first, node[first]))]  # by node, then first link
+    row = np.empty(key.max() + 1, dtype=idx)
+    row[key[first]] = np.arange(first.size)
+    pairs = sp.csr_array((ones, (row[key], other.astype(idx))),
+                         shape=(first.size, n_other))
+    pairs.data = ones                           # the topology's, shared
+    starts = np.searchsorted(node[first], np.arange(n_nodes + 1)).astype(idx)
+    nodes = sp.csr_array((ones[:first.size], np.arange(first.size, dtype=idx),
+                          starts), shape=(n_nodes, first.size))
+    return _Side(pairs, nodes, node[first], classes.labels[first],
+                 np.diff(pairs.indptr).astype(np.float64))
 
 
-def _operators(graph: RatingGraph) -> _Operators:
-    """Every ranker's operators. A and the rater counts are cached with the
-    topology after the coverage check; the rest is built from the ratings."""
-    if "A" not in graph._topology:
+def _operators(graph: RatingGraph, classes) -> tuple[_Side, _Side]:
+    """The item and user sides of `classes`' grouping of the links, built
+    once per grouping after the coverage check; one ones array per topology."""
+    if "operators" not in classes.cache:
         _require(graph.num_links > 0, "the graph has no ratings")
         _require((graph.user_degrees > 0).all(),
                  "every user must have rated at least one item")
-        A = sp.csr_array((np.ones(graph.num_links), graph.items, graph.user_ptr),
-                         shape=(graph.num_users, graph.num_items))
-        counts = A.T @ np.ones(graph.num_users)
-        _require((counts > 0).all(), "every item must have at least one rating")
-        graph._topology["A"] = A, counts
-    A, counts = graph._topology["A"]
-    hi, lo = np.full((2, graph.num_items), [[-np.inf], [np.inf]])
-    np.maximum.at(hi, graph.items, graph.ratings)
-    np.minimum.at(lo, graph.items, graph.ratings)
-    constant = np.flatnonzero(hi == lo)
-    Rt = _like(A, graph.ratings).T
-    plain_mean = Rt @ np.ones(graph.num_users) / counts
-    plain_mean[constant] = hi[constant]
-    return _Operators(A, A.T, Rt, plain_mean, constant)
+        _require(np.bincount(graph.items, minlength=graph.num_items).all(),
+                 "every item must have at least one rating")
+        ones = graph._topology.setdefault("ones", np.ones(graph.num_links))
+        g = graph
+        sides = ((g.items, g.num_items, g.users, g.num_users),
+                 (g.users, g.num_users, g.items, g.num_items))
+        classes.cache["operators"] = tuple(_side(*s, classes, ones)
+                                           for s in sides)
+    return classes.cache["operators"]
 
 
-def _weighted_quality(ops, rep):
-    """Reputation-weighted mean rating per item; items whose raters carry
-    zero total reputation, and constant-rating items, keep the plain mean."""
-    wtot = ops.At @ rep
-    q = ops.plain_mean.copy()
-    np.divide(ops.Rt @ rep, wtot, out=q, where=wtot > 0)
-    q[ops.constant] = ops.plain_mean[ops.constant]
-    return q
+def _class_means(side, v, w):
+    """Per column and node (K x nodes), the mean of the pair values v
+    weighted by the pair weights w (both pairs x K), exactly v where a single
+    pair carries weight; and the number of pairs that carry weight."""
+    pos = w > 0
+    tot, n = (side.nodes @ w).T, (side.nodes @ pos).T
+    wv, one = (side.nodes @ (w * v)).T, (side.nodes @ (pos * v)).T
+    mean = np.divide(wv, tot, out=np.zeros_like(wv), where=tot > 0)
+    return np.where(n == 1, one, mean), n
+
+
+class _Columns:
+    """K sets of class values on one grouping of a graph's links, a column
+    each (a row of every K x n array), and what follows from them alone."""
+
+    def __init__(self, graph: RatingGraph, cells):
+        self.graph, self.labels = graph, cells[0].labels
+        self.items, self.users = items, users = _operators(graph, cells[0])
+        self.values = np.array([c.values for c in cells])   # K x classes
+        self.vi = self.values[:, items.cls].T               # item pairs x K
+        vu = self.values[:, users.cls].T
+        self.plain = _class_means(items, self.vi, np.broadcast_to(
+            items.count[:, None], self.vi.shape))[0]
+        n = users.count[:, None]
+        self.rbar = (users.nodes @ (n * vu)).T / graph.user_degrees
+        self.dv = vu - self.rbar.T[users.node]              # centred
+        self.ss_r = (users.nodes @ (n * self.dv ** 2)).T
+        self.spread = np.diff(users.nodes.indptr) > 1
+
+
+def _weighted_quality(cols, rep):
+    """Reputation-weighted mean rating per column and item; items whose
+    raters carry zero total reputation keep the plain mean."""
+    q, n = _class_means(cols.items, cols.vi, cols.items.pairs @ rep.T)
+    return np.where(n > 0, q, cols.plain)
 
 
 def rank_mean(graph: RatingGraph) -> RankingResult:
     """Quality = arithmetic mean rating; every reputation is 1."""
-    return RankingResult(np.ones(graph.num_users),
-                         _operators(graph).plain_mean, 1, True, 0.0)
+    return rank(graph, RankingConfig(algorithm="mean"))
 
 
-def _residual(q, q_prev) -> float:
-    """Mean squared change between consecutive quality vectors."""
-    d = q - q_prev
-    return float(np.sum(d * d) / q.size)
+def _residual(q, q_prev):
+    """Mean squared change between consecutive qualities, per row."""
+    d = np.ascontiguousarray(q - q_prev)
+    return np.sum(d * d, axis=-1) / d.shape[-1]
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _fixed_point(name, ops, cfg, rep, step, trace=None) -> RankingResult:
-    """The schedule shared by ir, cr and rr.
+def _fixed_point(name, cfg, graph, cells, trace=None, **kw) -> list:
+    """The schedule shared by ir, cr and rr: a RankingResult per rating
+    classes in `cells`, each a column, all on one grouping of graph's links.
 
-    Starting from the reputations `rep`, each iteration computes the
-    reputation-weighted qualities q from the previous reputations, then
-    calls step(q, rep), which returns this iteration's (qualities,
-    reputations). A non-finite value among them, such as an overflowing
-    ir power, raises ValueError naming algorithm `name` and the iteration;
-    numpy's overflow and invalid warnings are off, as that check reports
-    what they would. Iteration stops once the residual between consecutive
-    qualities drops below cfg.delta, or after cfg.max_iterations; with a
-    single iteration the residual is unknown (inf). `trace`, if given,
-    collects (qualities, reputations) copies. cfg must be for `name`.
+    Each iteration computes the qualities q weighted by the previous
+    reputations, then calls step(q, rep), step = _STEPS[name](cfg, _Columns
+    still running, **kw), for this iteration's (qualities, reputations). A
+    non-finite value among them, such as an overflowing ir power, raises
+    ValueError naming algorithm `name` and the iteration; numpy's overflow
+    and invalid warnings are off, as that check reports what they would. A
+    column stops once the residual between its consecutive qualities drops
+    below cfg.delta, or after cfg.max_iterations; with a single iteration
+    the residual is unknown (inf). `trace`, if given, collects the first
+    column's (qualities, reputations) copies. cfg must be for `name`.
     """
     _require(cfg.algorithm == name,
              f"rank_{name} was given a config for {cfg.algorithm!r}")
-    res = float("inf")
+    K = len(cells)
+    out, live, res = [None] * K, np.arange(K), np.full(K, np.inf)
+    cols = _Columns(graph, cells)       # checks the coverage
+    step = _STEPS[name](cfg, cols, **kw)
+    rep = np.tile(np.ones(graph.num_users) if name == "ir"
+                  else graph.user_degrees / graph.num_items, (K, 1))
     for iterations in range(1, cfg.max_iterations + 1):
-        q = _weighted_quality(ops, rep)
-        q, rep = step(q, rep)
+        q, rep = step(_weighted_quality(cols, rep), rep)
         if not (np.isfinite(q).all() and np.isfinite(rep).all()):
             raise ValueError(f"{name} iteration {iterations} gave a "
                              "non-finite quality or reputation")
         if trace is not None:
-            trace.append((q.copy(), rep.copy()))
+            trace.append((q[0].copy(), rep[0].copy()))
         if iterations > 1:
             res = _residual(q, q_prev)
-            if res < cfg.delta:
-                return RankingResult(rep, q, iterations, True, res)
+        conv = res < cfg.delta
+        end = conv | (iterations == cfg.max_iterations)
+        for j in np.flatnonzero(end):
+            out[live[j]] = RankingResult(rep[j].copy(), q[j].copy(),
+                                         iterations, bool(conv[j]),
+                                         float(res[j]))
+        if end.all():
+            return out
+        if end.any():
+            live, q, rep, res = (a[~end] for a in (live, q, rep, res))
+            cols = _Columns(graph, [cells[j] for j in live])
+            step = _STEPS[name](cfg, cols, **kw)
         q_prev = q
-    return RankingResult(rep, q, iterations, False, res)
 
 
 def rank_ir(graph: RatingGraph, config: RankingConfig | None = None) -> RankingResult:
     """Iterative refinement: reputation is an inverse power of rating MSE."""
     cfg = config or RankingConfig(algorithm="ir")
-    ops = _operators(graph)
+    return _fixed_point("ir", cfg, graph, [graph.rating_classes])[0]
+
+
+def _ir_step(cfg, cols):
+    """ir runs one column at a time: its MSE sums per link."""
+    graph = cols.graph
+    ratings = cols.values[0].take(cols.labels)
     d = np.empty(graph.num_links)
-    D = _like(ops.A, d)     # a view of d: D @ ones sums d per user, per step
+    D = sp.csr_array((d, graph.items, graph.user_ptr),      # a view of d
+                     shape=(graph.num_users, graph.num_items))
 
     def step(q, _):
-        np.subtract(graph.ratings, q[graph.items], out=d)
+        np.subtract(ratings, q[0][graph.items], out=d)
         np.multiply(d, d, out=d)
         mse = D @ np.ones(graph.num_items) / graph.user_degrees
-        return q, (mse + cfg.epsilon) ** (-cfg.beta)
+        return q, (mse + cfg.epsilon)[None] ** (-cfg.beta)
 
-    return _fixed_point("ir", ops, cfg, np.ones(graph.num_users), step)
+    return step
 
 
-def _pearson_by_user(graph, ops):
-    """Per-user Pearson correlation of (ratings, item qualities).
+def _pearson(cols, q):
+    """Per-column, per-user Pearson correlation of (ratings, qualities q).
 
-    The rating side (centred ratings on A's pattern, DR, their sum of
-    squares and the spread test) is fixed for the graph and computed here
-    once. corr(q) takes the quality side from raw moments, with no per-link
-    gather: DR·q (centred ratings sum to 0), Σq = A·q and Σq² = A·q², so
-    ss_q = Σq² − (Σq)²/k, exact to about k·eps·Σq². Users with ss_q <=
-    1e-2·Σq² take the exact two-pass path on their own links: qualities
-    centred before the products, and tested for constancy exactly, max ==
-    min, as mean subtraction alone cannot certify zero variance in floating
-    point. The bound is far above k·eps at any degree (1.2e-13 at 530, the
-    paper-scale maximum), so users with constant qualities take that path,
-    and the raw moments' relative error stays below k·eps/1e-2 for the
-    rest. Degenerate users (either vector constant) get 0.
+    The rating side (class values centred per user, their sum of squares and
+    the spread test) comes with the columns. The quality side comes from raw
+    moments per (user, class) pair, with no per-link gather: the numerator is
+    Σ (v - r̄)·Σq over the pairs (centred ratings sum to 0), and ss_q = Σq² −
+    (Σq)²/k, exact to about k·eps·Σq². Users with ss_q <= 1e-2·Σq² take the
+    exact two-pass path on their own links: qualities centred before the
+    products, and tested for constancy exactly, max == min, as mean
+    subtraction alone cannot certify zero variance in floating point. The
+    bound is far above k·eps at any degree (1.2e-13 at 530, the paper-scale
+    maximum), so users with constant qualities take that path, and the raw
+    moments' relative error stays below k·eps/1e-2 for the rest. Degenerate
+    users (either vector constant) get 0.
     """
-    k = graph.user_degrees
-    starts = graph.user_ptr[:-1]
-    r = graph.ratings
-    ones = np.ones(graph.num_items)     # A-pattern op @ ones: sums per user
-    DR = _like(ops.A, r - np.repeat(ops.Rt.T @ ones / k, k))   # centred
-    ss_r = _like(ops.A, DR.data * DR.data) @ ones
-    r_spread = np.maximum.reduceat(r, starts) > np.minimum.reduceat(r, starts)
-
-    def corr(q):
-        s1, s2 = ops.A @ q, ops.A @ (q * q)
-        ss_q = s2 - s1 * s1 / k
-        num = DR @ q
-        good = r_spread & (ss_q > 1e-2 * s2)
-        c = np.flatnonzero(r_spread & ~good)
-        if c.size:      # the exact two-pass path, on these users' links
-            kc = k[c]
-            ptr = np.append(0, np.cumsum(kc))
-            at = np.arange(ptr[-1]) + np.repeat(starts[c] - ptr[:-1], kc)
-            L = sp.csr_array((np.ones(at.size), np.arange(at.size), ptr))
-            dq = q[graph.items[at]]
-            good[c] = (np.maximum.reduceat(dq, ptr[:-1])
-                       > np.minimum.reduceat(dq, ptr[:-1]))
-            dq -= np.repeat(L @ dq / kc, kc)
-            num[c] = L @ (DR.data[at] * dq)
-            ss_q[c] = L @ (dq * dq)
-        den = np.sqrt(np.where(good, ss_r * ss_q, 0.0))
-        out = np.zeros(graph.num_users)
-        np.divide(num, den, out=out, where=den > 0.0)
-        np.clip(out, -1.0, 1.0, out=out)
-        return out
-
-    return corr
-
-
-def _correlation_start(graph: RatingGraph):
-    """cr and rr's operators, corr(q) and initial reputations, each user's
-    degree over the item count."""
-    ops = _operators(graph)
-    return (ops, _pearson_by_user(graph, ops),
-            graph.user_degrees / graph.num_items)
+    graph, k = cols.graph, cols.graph.user_degrees
+    users = cols.users
+    s2 = (users.nodes @ (users.pairs @ (q * q).T)).T
+    t = users.pairs @ q.T                   # Σq per (user, class) pair
+    s1, num = (users.nodes @ t).T, (users.nodes @ (cols.dv * t)).T
+    ss_q = s2 - s1 * s1 / k
+    good = cols.spread & (ss_q > 1e-2 * s2)
+    col, u = np.nonzero(cols.spread & ~good)
+    if u.size:      # the exact two-pass path, on these users' links
+        kc = k[u]
+        ptr = np.append(0, np.cumsum(kc))
+        at = np.arange(ptr[-1]) + np.repeat(graph.user_ptr[u] - ptr[:-1], kc)
+        cc = np.repeat(col, kc)
+        L = sp.csr_array((np.ones(at.size), np.arange(at.size), ptr))
+        dq = q[cc, graph.items[at]]
+        good[col, u] = (np.maximum.reduceat(dq, ptr[:-1])
+                        > np.minimum.reduceat(dq, ptr[:-1]))
+        dq -= np.repeat(L @ dq / kc, kc)
+        dr = cols.values[cc, cols.labels[at]] - np.repeat(cols.rbar[col, u],
+                                                          kc)
+        num[col, u] = L @ (dr * dq)
+        ss_q[col, u] = L @ (dq * dq)
+    den = np.sqrt(np.where(good, cols.ss_r * ss_q, 0.0))
+    out = np.zeros_like(num)
+    np.divide(num, den, out=out, where=den > 0.0)
+    return np.clip(out, -1.0, 1.0, out=out)
 
 
 def rank_cr(
@@ -256,12 +304,11 @@ def rank_cr(
     between two code paths.
     """
     cfg = config or RankingConfig(algorithm="cr")
-    ops, corr, rep0 = _correlation_start(graph)
+    return _fixed_point("cr", cfg, graph, [graph.rating_classes], trace)[0]
 
-    def step(q, _):
-        return q, np.maximum(corr(q), 0.0)
 
-    return _fixed_point("cr", ops, cfg, rep0, step, trace)
+def _cr_step(cfg, cols):
+    return lambda q, _: (q, np.maximum(_pearson(cols, q), 0.0))
 
 
 def rank_rr(
@@ -286,39 +333,57 @@ def rank_rr(
     `trace` collects per-iteration (qualities, reputations) copies.
     """
     cfg = config or RankingConfig(algorithm="rr")
-    ops, corr, rep0 = _correlation_start(graph)
-    if "raters" not in graph._topology:     # each item's, in link order
-        graph._topology["raters"] = ops.At.tocsr()
-    raters = graph._topology["raters"]
+    return _fixed_point("rr", cfg, graph, [graph.rating_classes], trace,
+                        use_penalty=use_penalty, use_damping=use_damping)[0]
 
+
+def _rr_step(cfg, cols, use_penalty=True, use_damping=True):
+    """rr runs one column at a time: its penalty gathers per link."""
+    graph = cols.graph
     damping = np.ones(graph.num_users)
     if use_damping:
         logk = np.log10(graph.user_degrees.astype(np.float64))
         top = logk.max()
         damping = logk / top if top > 0 else np.zeros_like(logk)
+    raters = cols.items.pairs.indices           # each item's, pair by pair
+    starts = cols.items.pairs.indptr[cols.items.nodes.indptr[:-1]]
 
     def step(q, rep):
         if use_penalty:
             # scale only where the weighted mean applied: reputations are
             # non-negative, so a zero top rater reputation means zero total
             # weight and the item already holds its plain-mean fallback
-            penalty = np.maximum.reduceat(rep[raters.indices],
-                                          raters.indptr[:-1])
+            penalty = np.maximum.reduceat(rep[0].take(raters), starts)[None]
             pos = penalty > 0
             q[pos] *= np.minimum(penalty[pos], 1.0)
 
-        trust = np.maximum(corr(q), 0.0) * damping
+        trust = np.maximum(_pearson(cols, q), 0.0) * damping
         powered = trust ** cfg.theta
         mass = powered.sum()
         rep = powered * (trust.sum() / mass) if mass > 0 else np.zeros_like(trust)
         return q, rep
 
-    return _fixed_point("rr", ops, cfg, rep0, step, trace)
+    return step
+
+
+_STEPS = {"ir": _ir_step, "cr": _cr_step, "rr": _rr_step}
+
+
+def rank_projections(graph: RatingGraph, config: RankingConfig,
+                     cells) -> list[RankingResult]:
+    """rank on `graph` under each rating classes in `cells`, all on one
+    grouping of its links (`projection.project_classes`): cr as one K-column
+    fixed point, ir and rr a column at a time. Each result equals rank() on
+    the graph that carries those ratings."""
+    if config.algorithm == "mean":
+        return [RankingResult(np.ones(graph.num_users), q.copy(), 1, True, 0.0)
+                for q in _Columns(graph, cells).plain]
+    if config.algorithm == "cr":
+        return _fixed_point("cr", config, graph, cells)
+    return [_fixed_point(config.algorithm, config, graph, [c])[0]
+            for c in cells]
 
 
 def rank(graph: RatingGraph, config: RankingConfig) -> RankingResult:
     """Dispatch on config.algorithm."""
-    if config.algorithm == "mean":
-        return rank_mean(graph)
-    rankers = {"ir": rank_ir, "cr": rank_cr, "rr": rank_rr}
-    return rankers[config.algorithm](graph, config)
+    return rank_projections(graph, config, [graph.rating_classes])[0]

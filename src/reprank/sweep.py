@@ -18,8 +18,8 @@ import numpy as np
 from .graph import BenchmarkSet, RatingGraph
 from .metrics import (ranking_score, reputation_error_correlation,
                       top_fraction_benchmark)
-from .projection import ProjectionParams, project_graph
-from .ranking import RankingConfig, rank
+from .projection import ProjectionParams, project_classes
+from .ranking import RankingConfig, rank_projections
 from .synth import SynthSpec, generate_network
 
 METRICS = ("rs", "correlation")
@@ -27,6 +27,7 @@ METRICS = ("rs", "correlation")
 DEFAULT_GRID_STEP = 0.05
 DEFAULT_REALIZATIONS = 10
 DEFAULT_BENCHMARK_FRACTION = 0.05
+CHUNK = 21      # most projections ranked at once, a default grid row
 
 
 def grid_values(step: float = DEFAULT_GRID_STEP) -> tuple[float, ...]:
@@ -120,13 +121,21 @@ def _metric_value(result, metric, benchmark, truth):
 
 
 def _grid_for_graph(graph, config, cells, metric, benchmark, truth):
+    """Cells whose projections group the links alike are ranked together,
+    CHUNK at a time; each as rank(project_graph(graph, cell)) would."""
     values = np.empty((len(cells), len(cells[0])))
     conv = np.empty_like(values, dtype=bool)
-    for a, row in enumerate(cells):
-        for b, params in enumerate(row):
-            result = rank(project_graph(graph, params), config)
-            values[a, b] = _metric_value(result, metric, benchmark, truth)
-            conv[a, b] = result.converged
+    groups = {}
+    for at in np.ndindex(values.shape):
+        classes = project_classes(graph.rating_classes, cells[at[0]][at[1]])
+        groups.setdefault(id(classes.cache), []).append((at, classes))
+    for group in groups.values():
+        for s in range(0, len(group), CHUNK):
+            chunk = group[s:s + CHUNK]
+            results = rank_projections(graph, config, [c for _, c in chunk])
+            for (at, _), result in zip(chunk, results):
+                values[at] = _metric_value(result, metric, benchmark, truth)
+                conv[at] = result.converged
     return values, conv
 
 

@@ -12,10 +12,12 @@ from oracle import oracle_ir, oracle_rr
 from reprank import ranking
 from reprank.graph import RatingGraph
 from reprank.metrics import ranking_score, top_fraction_benchmark
-from reprank.projection import ProjectionParams, project_graph, project_rating
+from reprank.projection import (ProjectionParams, project_classes,
+                                project_graph, project_rating)
 from reprank.ranking import (ALGORITHMS, RankingConfig, _residual, rank,
-                             rank_cr, rank_ir, rank_mean, rank_rr)
-from reprank.synth import SynthSpec, generate_network
+                             rank_cr, rank_ir, rank_mean, rank_projections,
+                             rank_rr)
+from reprank.synth import SynthSpec, generate_network, inject_spam
 
 
 def test_config_validation():
@@ -334,6 +336,20 @@ def assert_cr_matches_oracle(g):
     return tr
 
 
+def test_many_rating_classes_match_oracle():
+    # continuous ratings: a class per link, more (node, class) pairs than a
+    # table over every combination should hold, so the pairs are numbered
+    rng = np.random.default_rng(33)
+    for _ in range(5):
+        g = random_bipartite(rng)
+        g = g.with_ratings(rng.uniform(1.0, 5.0, g.num_links))
+        assert g.rating_classes.values.size == g.num_links
+        assert_cr_matches_oracle(g)
+        assert_matches_oracle(rank_ir(g, RankingConfig(algorithm="ir",
+                                                       delta=1e-8)),
+                              oracle_ir, g, delta=1e-8)
+
+
 def test_near_constant_qualities_are_centred_first():
     # 3 x 3 Latin square of three distinct ratings: every item mean is 2,
     # and summed in each item's rater order the first qualities differ in
@@ -461,13 +477,39 @@ def test_ir_ranking_score_ignores_last_bit_reputation_noise(seed, p1, p2):
     # must not depend on it: items tied in exact arithmetic must stay tied.
     # ir's reputations are all positive, so on these networks only
     # constant-rating items tie that way, and their quality is exact. (cr
-    # and rr give zero reputations, and an item whose positive-reputation
-    # raters agree ties with the constant items too; that is not covered.)
+    # and rr give zero reputations too: see the next property.)
     graph, truth = generate_network(SynthSpec(
         num_users=200, num_items=150, num_links=4000, seed=seed))
     graph = project_graph(graph, ProjectionParams(p1, p2))
     benchmark = top_fraction_benchmark(truth, 0.05)
     config = RankingConfig(algorithm="ir")
+    clean = rank(graph, config)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ranking, "_weighted_quality",
+                   nudged(ranking._weighted_quality,
+                          np.random.default_rng(seed)))
+        noisy = rank(graph, config)
+    assert (ranking_score(noisy.qualities, benchmark).value
+            == ranking_score(clean.qualities, benchmark).value)
+
+
+@settings(deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       p1=st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+       p2=st.sampled_from([0.0, 0.5, 0.95, 1.0]),
+       algorithm=st.sampled_from(["cr", "rr"]))
+@example(seed=50, p1=1.0, p2=1.0, algorithm="cr")
+def test_correlation_ranking_score_ignores_last_bit_reputation_noise(
+        seed, p1, p2, algorithm):
+    # As for ir, with the ties that zero reputations make: an item whose
+    # positive-reputation raters all gave one rating ties in exact
+    # arithmetic with every item rated only that, and its quality is exact
+    # too. (At seed 50, (1, 1), cr item 67 is such an item.)
+    graph, truth = generate_network(SynthSpec(
+        num_users=200, num_items=150, num_links=4000, seed=seed))
+    graph = project_graph(graph, ProjectionParams(p1, p2))
+    benchmark = top_fraction_benchmark(truth, 0.05)
+    config = RankingConfig(algorithm=algorithm, max_iterations=100)
     clean = rank(graph, config)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ranking, "_weighted_quality",
@@ -501,7 +543,8 @@ def test_cold_and_warm_topology_cache_rank_identically(algorithm):
         g = random_bipartite(rng)
         assert not g._topology
         cold = rank(g, config)
-        assert "A" in g._topology
+        assert "ones" in g._topology
+        assert "operators" in g.rating_classes.cache
         assert_identical(cold, rank(g, config))
 
 
@@ -536,12 +579,68 @@ def test_equals_and_pickle_ignore_the_topology_cache():
     fresh = same_links(g)
     config = RankingConfig(algorithm="rr")
     rank(g, config)
-    assert set(g._topology) == {"A", "raters"}
+    assert set(g._topology) == {"ones"}
+    assert set(g.rating_classes.cache) == {"operators"}
     assert g.equals(fresh) and fresh.equals(g)
     assert pickle.dumps(g) == pickle.dumps(fresh)
     copy = pickle.loads(pickle.dumps(g))
-    assert not copy._topology and copy.equals(g)
+    assert not copy._topology and "rating_classes" not in vars(copy)
+    assert copy.equals(g)
     assert_identical(rank(copy, config), rank(g, config))
+
+
+def test_spam_and_corner_graphs_rank_on_their_own_classes():
+    # inject_spam shares the topology through with_ratings, and a corner
+    # projection merges classes; each must rank like a fresh graph with the
+    # same ratings, never on the clean classes' operators
+    rng = np.random.default_rng(31)
+    for algorithm in ALGORITHMS:
+        config = RankingConfig(algorithm=algorithm)
+        for _ in range(5):
+            g = random_bipartite(rng)
+            rank(g, config)
+            spam = inject_spam(g, 0.5, rng)
+            corner = project_graph(g, ProjectionParams(1.0, 0.0))
+            for h in (spam, corner):
+                assert h._topology is g._topology
+                assert_identical(rank(h, config),
+                                 rank(same_links(g, h.ratings), config))
+                assert (h.rating_classes.cache["operators"]
+                        is not g.rating_classes.cache["operators"])
+
+
+@settings(deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       algorithm=st.sampled_from(["ir", "cr", "rr"]),
+       corner=st.sampled_from([None, (0.0, None), (None, 1.0)]),
+       params=st.lists(st.tuples(st.floats(0.01, 0.99), st.floats(0.01, 0.99)),
+                       min_size=1, max_size=6))
+def test_columns_equal_separate_rank_calls(seed, algorithm, corner, params):
+    # K projections on one grouping of the links ranked as K columns give
+    # exactly K separate rank calls, columns that stop at other iterations
+    # (or at the cap) included; corner=(0.0, None) fixes p1 = 0, a merge
+    g = random_bipartite(np.random.default_rng(seed))
+    config = RankingConfig(algorithm=algorithm, delta=1e-12,
+                           max_iterations=40)
+    cells = [ProjectionParams(*(c if c is not None else p for c, p
+                                in zip(corner or (None, None), pair)))
+             for pair in params]
+    classes = [project_classes(g.rating_classes, p) for p in cells]
+    assert len({id(c.cache) for c in classes}) == 1
+    for p, got in zip(cells, rank_projections(g, config, classes)):
+        assert_identical(got, rank(project_graph(g, p), config))
+
+
+def test_columns_stop_at_their_own_iterations():
+    g = random_bipartite(np.random.default_rng(32))
+    config = RankingConfig(algorithm="cr", delta=1e-12, max_iterations=40)
+    cells = [ProjectionParams(p1, p2) for p1 in (0.1, 0.5, 0.9)
+             for p2 in (0.2, 0.7)]
+    results = rank_projections(
+        g, config, [project_classes(g.rating_classes, p) for p in cells])
+    assert len({r.iterations_used for r in results}) > 1
+    for p, got in zip(cells, results):
+        assert_identical(got, rank(project_graph(g, p), config))
 
 
 # ------------------------------------------- raw moments, exact fallback

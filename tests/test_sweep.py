@@ -9,7 +9,8 @@ from reprank.projection import ProjectionParams, project_graph
 from reprank.ranking import RankingConfig, rank
 from reprank.sweep import (DEFAULT_BENCHMARK_FRACTION, DEFAULT_REALIZATIONS,
                            Optimum, RealSource, SweepGrid, SynthSource,
-                           compare_table, find_optimum, grid_values, run_sweep)
+                           _grid_for_graph, compare_table, find_optimum,
+                           grid_values, run_sweep)
 from reprank.synth import SynthSpec, generate_network
 
 TINY = SynthSpec(num_users=60, num_items=40, num_links=900, case=1)
@@ -190,3 +191,30 @@ def test_compare_table_errors():
     off_grid = grid_of([[0.5]], (0.0,), (0.0,))
     with pytest.raises(ValueError, match="not on the grid"):
         compare_table([off_grid])
+
+
+def assert_cells_equal_direct_ranks(spec, p1_values, algorithm="cr"):
+    """Every cell of one realization's grid, ranked in batches, equals rank
+    on the projected graph bit for bit, RS included."""
+    graph, truth = generate_network(spec)
+    benchmark = top_fraction_benchmark(truth, DEFAULT_BENCHMARK_FRACTION)
+    config = RankingConfig(algorithm=algorithm)
+    cells = tuple(tuple(ProjectionParams(p1, p2) for p2 in grid_values())
+                  for p1 in p1_values)
+    values, conv = _grid_for_graph(graph, config, cells, "rs", benchmark,
+                                   truth)
+    for a, row in enumerate(cells):
+        for b, params in enumerate(row):
+            direct = rank(project_graph(graph, params), config)
+            rs = ranking_score(direct.qualities, benchmark).value
+            assert (values[a, b], conv[a, b]) == (rs, direct.converged)
+
+
+def test_desk_grid_cells_equal_direct_ranks():
+    assert_cells_equal_direct_ranks(
+        SynthSpec(num_users=600, num_items=400, num_links=48_000, seed=3),
+        grid_values())
+
+
+def test_paper_row_cells_equal_direct_ranks():
+    assert_cells_equal_direct_ranks(SynthSpec(seed=1), (0.5,))
