@@ -7,8 +7,7 @@ from .metrics import (Correlation, RankingScore, quality_ranks,
                       ranking_score, reputation_error_correlation,
                       top_fraction_benchmark)
 from .projection import ProjectionParams, project_graph, project_rating
-from .ranking import (ALGORITHMS, RankingConfig, RankingResult, rank,
-                      rank_cr, rank_ir, rank_mean, rank_rr)
+from .ranking import ALGORITHMS, RankingConfig, RankingResult, rank
 from .sweep import (Optimum, RealSource, SweepGrid, SynthSource, TableRow,
                     compare_table, find_optimum, grid_values, run_sweep)
 from .synth import (CASES, SynthSpec, SynthTruth, TruthFormatError,
@@ -26,7 +25,7 @@ __all__ = [
     "generate_network", "generate_ratings", "generate_topology",
     "generate_truth", "grid_values", "ingest_ratings",
     "inject_spam", "load_benchmark", "project_graph", "project_rating",
-    "quality_ranks", "rank", "rank_cr", "rank_ir", "rank_mean", "rank_rr",
+    "quality_ranks", "rank",
     "ranking_score", "read_truth", "reputation_error_correlation",
     "run_sweep", "top_fraction_benchmark", "write_ratings_csv", "write_truth",
 ]

@@ -155,8 +155,13 @@ class RatingGraph:
         return replace(self, ratings=ratings)
 
     def _with_classes(self, classes: RatingClasses) -> "RatingGraph":
-        """with_ratings on the ratings of `classes`, kept as its classes."""
-        out = self.with_ratings(classes.values.take(classes.labels))
+        """with_ratings on the ratings of `classes`, kept as its classes; the
+        bounds of every link follow from those of the class values, and the
+        fresh array needs no copy."""
+        _check_rating_bounds(classes.values)
+        ratings = classes.values.take(classes.labels)
+        ratings.setflags(write=False)
+        out = replace(self, ratings=ratings)
         vars(out)["rating_classes"] = classes    # as the cached_property would
         return out
 

@@ -164,11 +164,6 @@ def _weighted_quality(cols, rep):
     return np.where(n > 0, q, cols.plain)
 
 
-def rank_mean(graph: RatingGraph) -> RankingResult:
-    """Quality = arithmetic mean rating; every reputation is 1."""
-    return rank(graph, RankingConfig(algorithm="mean"))
-
-
 def _residual(q, q_prev):
     """Mean squared change between consecutive qualities, per row."""
     d = np.ascontiguousarray(q - q_prev)
@@ -176,24 +171,22 @@ def _residual(q, q_prev):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _fixed_point(name, cfg, graph, cells, trace=None, **kw) -> list:
+def _fixed_point(cfg, graph, cells, trace=None, **kw) -> list:
     """The schedule shared by ir, cr and rr: a RankingResult per rating
     classes in `cells`, each a column, all on one grouping of graph's links.
 
     Each iteration computes the qualities q weighted by the previous
-    reputations, then calls step(q, rep), step = _STEPS[name](cfg, _Columns
-    still running, **kw), for this iteration's (qualities, reputations). A
-    non-finite value among them, such as an overflowing ir power, raises
-    ValueError naming algorithm `name` and the iteration; numpy's overflow
-    and invalid warnings are off, as that check reports what they would. A
-    column stops once the residual between its consecutive qualities drops
-    below cfg.delta, or after cfg.max_iterations; with a single iteration
-    the residual is unknown (inf). `trace`, if given, collects the first
-    column's (qualities, reputations) copies. cfg must be for `name`.
+    reputations, then calls step(q, rep), step = _STEPS[cfg.algorithm](cfg,
+    _Columns still running, **kw), for this iteration's (qualities,
+    reputations). A non-finite value among them, such as an overflowing ir
+    power, raises ValueError naming the algorithm and the iteration; numpy's
+    overflow and invalid warnings are off, as that check reports what they
+    would. A column stops once the residual between its consecutive
+    qualities drops below cfg.delta, or after cfg.max_iterations; with a
+    single iteration the residual is unknown (inf). `trace`, if given,
+    collects the first column's (qualities, reputations) copies.
     """
-    _require(cfg.algorithm == name,
-             f"rank_{name} was given a config for {cfg.algorithm!r}")
-    K = len(cells)
+    name, K = cfg.algorithm, len(cells)
     out, live, res = [None] * K, np.arange(K), np.full(K, np.inf)
     cols = _Columns(graph, cells)       # checks the coverage
     step = _STEPS[name](cfg, cols, **kw)
@@ -221,12 +214,6 @@ def _fixed_point(name, cfg, graph, cells, trace=None, **kw) -> list:
             cols = _Columns(graph, [cells[j] for j in live])
             step = _STEPS[name](cfg, cols, **kw)
         q_prev = q
-
-
-def rank_ir(graph: RatingGraph, config: RankingConfig | None = None) -> RankingResult:
-    """Iterative refinement: reputation is an inverse power of rating MSE."""
-    cfg = config or RankingConfig(algorithm="ir")
-    return _fixed_point("ir", cfg, graph, [graph.rating_classes])[0]
 
 
 def _ir_step(cfg, cols):
@@ -290,36 +277,15 @@ def _pearson(cols, q):
     return np.clip(out, -1.0, 1.0, out=out)
 
 
-def rank_cr(
-    graph: RatingGraph,
-    config: RankingConfig | None = None,
-    *,
-    trace: list | None = None,
-) -> RankingResult:
-    """Correlation-based ranking: reputation is the clamped Pearson match
-    between a user's ratings and the current item qualities.
-
-    Kept as its own step rather than delegating to rank_rr so the claimed
-    degeneracy (rr with both factors off and theta 1) stays a cross-check
-    between two code paths.
-    """
-    cfg = config or RankingConfig(algorithm="cr")
-    return _fixed_point("cr", cfg, graph, [graph.rating_classes], trace)[0]
-
-
 def _cr_step(cfg, cols):
+    """Kept as its own step rather than rr's with its switches off, so the
+    claimed degeneracy (rr with both factors off and theta 1) stays a
+    cross-check between two code paths."""
     return lambda q, _: (q, np.maximum(_pearson(cols, q), 0.0))
 
 
-def rank_rr(
-    graph: RatingGraph,
-    config: RankingConfig | None = None,
-    *,
-    use_penalty: bool = True,
-    use_damping: bool = True,
-    trace: list | None = None,
-) -> RankingResult:
-    """Reputation redistribution ranking.
+def _rr_step(cfg, cols, use_penalty=True, use_damping=True):
+    """rr runs one column at a time: its penalty gathers per link.
 
     Quality is the reputation-weighted mean scaled by the penalty factor
     min(1, top rater reputation), so full rr qualities stay within [0, 5].
@@ -328,17 +294,9 @@ def rank_rr(
     factor would boost the items of the top user, whose trust is then
     measured against those boosted qualities. Trust is log-degree-damped
     Pearson correlation, clamped at 0; reputation mass is then
-    redistributed through the power theta. The keyword switches exist to
-    exercise the degenerate path (both off, theta=1 reproduces rank_cr);
-    `trace` collects per-iteration (qualities, reputations) copies.
+    redistributed through the power theta. The switches exist only to
+    exercise the degenerate path: both off, theta 1 reproduces cr.
     """
-    cfg = config or RankingConfig(algorithm="rr")
-    return _fixed_point("rr", cfg, graph, [graph.rating_classes], trace,
-                        use_penalty=use_penalty, use_damping=use_damping)[0]
-
-
-def _rr_step(cfg, cols, use_penalty=True, use_damping=True):
-    """rr runs one column at a time: its penalty gathers per link."""
     graph = cols.graph
     damping = np.ones(graph.num_users)
     if use_damping:
@@ -374,16 +332,18 @@ def rank_projections(graph: RatingGraph, config: RankingConfig,
     """rank on `graph` under each rating classes in `cells`, all on one
     grouping of its links (`projection.project_classes`): cr as one K-column
     fixed point, ir and rr a column at a time. Each result equals rank() on
-    the graph that carries those ratings."""
+    the graph that carries those ratings; cells on another grouping than
+    the first raise ValueError."""
+    _require(all(c.cache is cells[0].cache for c in cells),
+             "rank_projections needs cells on one grouping of the links")
     if config.algorithm == "mean":
         return [RankingResult(np.ones(graph.num_users), q.copy(), 1, True, 0.0)
                 for q in _Columns(graph, cells).plain]
     if config.algorithm == "cr":
-        return _fixed_point("cr", config, graph, cells)
-    return [_fixed_point(config.algorithm, config, graph, [c])[0]
-            for c in cells]
+        return _fixed_point(config, graph, cells)
+    return [_fixed_point(config, graph, [c])[0] for c in cells]
 
 
 def rank(graph: RatingGraph, config: RankingConfig) -> RankingResult:
-    """Dispatch on config.algorithm."""
+    """Rank graph's items and users with config.algorithm."""
     return rank_projections(graph, config, [graph.rating_classes])[0]

@@ -18,15 +18,14 @@ from itertools import combinations, product
 import numpy as np
 
 from acceptance_log import record_acceptance
-from nets import random_bipartite
+from nets import fixed_point, random_bipartite
 from oracle import oracle_ir, oracle_rr, oracle_rs_enumerated
 
 from reprank.graph import BenchmarkSet, RatingGraph, ingest_ratings
 from reprank.metrics import (ranking_score, reputation_error_correlation,
                              top_fraction_benchmark)
 from reprank.projection import ProjectionParams, project_graph, project_rating
-from reprank.ranking import (ALGORITHMS, RankingConfig, rank, rank_cr,
-                             rank_ir, rank_mean, rank_rr)
+from reprank.ranking import ALGORITHMS, RankingConfig, rank
 from reprank.sweep import SynthSource, find_optimum, grid_values, run_sweep
 from reprank.synth import SynthSpec, generate_network
 
@@ -118,9 +117,9 @@ def test_c2_structural_reductions():
     for _ in range(20):
         graph = random_bipartite(rng)
         trace_cr, trace_rr = [], []
-        rank_cr(graph, replace(strip, algorithm="cr"), trace=trace_cr)
-        rank_rr(graph, strip, use_penalty=False, use_damping=False,
-                trace=trace_rr)
+        fixed_point(graph, replace(strip, algorithm="cr"), trace=trace_cr)
+        fixed_point(graph, strip, use_penalty=False, use_damping=False,
+                    trace=trace_rr)
         assert len(trace_cr) == len(trace_rr) >= 2
         for (qa, ra), (qb, rb) in zip(trace_cr, trace_rr):
             worst_pair = max(worst_pair,
@@ -130,8 +129,8 @@ def test_c2_structural_reductions():
     worst_beta = 0.0
     for _ in range(20):
         graph = random_bipartite(rng)
-        flat = rank_ir(graph, RankingConfig(algorithm="ir", beta=0.0))
-        plain = rank_mean(graph)
+        flat = rank(graph, RankingConfig(algorithm="ir", beta=0.0))
+        plain = rank(graph, RankingConfig(algorithm="mean"))
         worst_beta = max(worst_beta,
                          float(np.max(np.abs(flat.qualities - plain.qualities))))
     ok = worst_pair <= 1e-12 and worst_beta <= 1e-12
@@ -230,10 +229,10 @@ def test_c4_fixed_points_match_brute_force():
 
         graph = _toy_graph(toy["shape"], links)
         deep = dict(delta=1e-30, max_iterations=10 ** 6)
-        res = rank_ir(graph, RankingConfig(algorithm="ir", **deep))
+        res = rank(graph, RankingConfig(algorithm="ir", **deep))
         worst = max(worst, _scaled_gap(res.qualities, toy["ir_q"]),
                     _scaled_gap(res.reputations, toy["ir_r"]))
-        res = rank_rr(graph, RankingConfig(algorithm="rr", **deep))
+        res = rank(graph, RankingConfig(algorithm="rr", **deep))
         worst = max(worst, _scaled_gap(res.qualities, toy["rr_q"]),
                     _scaled_gap(res.reputations, toy["rr_r"]))
     report(4, worst <= 1e-8,

@@ -8,7 +8,7 @@ import pytest
 
 from reprank.cli import main
 from reprank.metrics import quality_ranks
-from reprank.ranking import rank_mean
+from reprank.ranking import RankingConfig, rank
 from reprank.synth import SynthSpec, generate_network
 
 SIZE_ARGS = ["--users", "50", "--items", "30", "--links", "400",
@@ -108,7 +108,7 @@ def test_rank_outputs_sorted_items(tmp_path):
     assert rc == 0
 
     graph, _ = generate_network(SYNTH_SPEC)
-    res = rank_mean(graph)
+    res = rank(graph, RankingConfig(algorithm="mean"))
     ranks = quality_ranks(res.qualities)
 
     rows = [l.split(",") for l in data_lines(items)[1:]]

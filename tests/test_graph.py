@@ -9,7 +9,7 @@ from reprank.graph import (FORMATS, MOVIELENS, BenchmarkSet,
                            DuplicatePairError, IdMap, IngestError,
                            RatingGraph, ingest_ratings, load_benchmark,
                            write_ratings_csv)
-from reprank.ranking import rank_mean
+from reprank.ranking import RankingConfig, rank
 
 
 def small_graph():
@@ -222,7 +222,7 @@ def test_ingest_gives_a_rankable_graph_or_an_ingest_error(file):
         result = ingest_ratings(io.StringIO(text), fmt=fmt)
     except IngestError:
         return
-    rank_mean(result.graph)     # every user and item carries a link
+    rank(result.graph, RankingConfig(algorithm="mean"))  # every node linked
 
 
 def test_csv_round_trip(tmp_path):

@@ -96,6 +96,7 @@ def test_graph_and_scalar_paths_agree(p1, p2, seed):
     h = project_graph(g, params)
     expected = np.array([project_rating(r, params) for r in g.ratings])
     assert h.ratings.tobytes() == expected.tobytes()
+    assert not h.ratings.flags.writeable
 
 
 @pytest.mark.parametrize("algorithm", ["mean", "ir", "cr", "rr"])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nets import random_bipartite
+from nets import fixed_point, random_bipartite
 from oracle import oracle_ir, oracle_rr
 from reprank import ranking
 from reprank.graph import RatingGraph
@@ -15,8 +15,7 @@ from reprank.metrics import ranking_score, top_fraction_benchmark
 from reprank.projection import (ProjectionParams, project_classes,
                                 project_graph, project_rating)
 from reprank.ranking import (ALGORITHMS, RankingConfig, _residual, rank,
-                             rank_cr, rank_ir, rank_mean, rank_projections,
-                             rank_rr)
+                             rank_projections)
 from reprank.synth import SynthSpec, generate_network, inject_spam
 
 
@@ -46,20 +45,21 @@ def test_residual():
 
 def test_mean_ranking():
     users, items, ratings = [0, 1, 2, 0, 1], [0, 0, 0, 1, 1], [5, 4, 3, 1, 2]
-    res = rank_mean(RatingGraph.build(3, 2, users, items, ratings))
+    mean = RankingConfig(algorithm="mean")
+    res = rank(RatingGraph.build(3, 2, users, items, ratings), mean)
     assert res.qualities.tolist() == [4.0, 1.5]
     assert res.reputations.tolist() == [1.0, 1.0, 1.0]
     assert res.converged and res.iterations_used == 1
     assert res.final_residual == 0.0
     unrated = RatingGraph.build(3, 3, users, items, ratings)  # item 2
     with pytest.raises(ValueError, match="every item must have at least"):
-        rank_mean(unrated)
+        rank(unrated, mean)
 
 
 def test_ir_rejects_unrated_items():
     g = RatingGraph.build(2, 3, [0, 1], [0, 1], [4, 2])
     with pytest.raises(ValueError, match="every item must have at least"):
-        rank_ir(g)
+        rank(g, RankingConfig(algorithm="ir"))
 
 
 def test_ir_overflow_is_an_error():
@@ -67,31 +67,30 @@ def test_ir_overflow_is_an_error():
     # epsilon**-beta, which overflows at beta=40
     g = RatingGraph.build(2, 2, [0, 0, 1, 1], [0, 1, 0, 1], [5, 2, 5, 2])
     with pytest.raises(ValueError, match="ir iteration 1 gave a non-finite"):
-        rank_ir(g, RankingConfig(algorithm="ir", beta=40.0))
+        rank(g, RankingConfig(algorithm="ir", beta=40.0))
 
 
 def test_ir_requires_rating_users():
     g = RatingGraph.build(3, 2, [0, 1], [0, 1], [4, 2])  # user 2 silent
     with pytest.raises(ValueError, match="rated at least one"):
-        rank_ir(g)
+        rank(g, RankingConfig(algorithm="ir"))
 
 
 def test_cr_rr_preconditions():
     silent_user = RatingGraph.build(3, 2, [0, 1, 0], [0, 1, 1], [4, 2, 3])
     unrated_item = RatingGraph.build(2, 3, [0, 1, 1], [0, 0, 1], [4, 2, 3])
     for g in (silent_user, unrated_item):
-        with pytest.raises(ValueError):
-            rank_cr(g)
-        with pytest.raises(ValueError):
-            rank_rr(g)
+        for algorithm in ("cr", "rr"):
+            with pytest.raises(ValueError):
+                rank(g, RankingConfig(algorithm=algorithm))
 
 
 def test_ir_beta_zero_is_mean():
     rng = np.random.default_rng(11)
     g = random_bipartite(rng)
-    res = rank_ir(g, RankingConfig(algorithm="ir", beta=0.0))
-    np.testing.assert_allclose(res.qualities, rank_mean(g).qualities,
-                               atol=1e-12)
+    res = rank(g, RankingConfig(algorithm="ir", beta=0.0))
+    mean = rank(g, RankingConfig(algorithm="mean"))
+    np.testing.assert_allclose(res.qualities, mean.qualities, atol=1e-12)
     assert res.converged
 
 
@@ -99,19 +98,16 @@ def test_ir_perfect_consensus_hits_epsilon_ceiling():
     # zero MSE makes the reputation exactly epsilon**-1
     g = RatingGraph.build(3, 2, [0, 1, 2, 0, 1, 2], [0, 0, 0, 1, 1, 1],
                           [5, 5, 5, 2, 2, 2])
-    res = rank_ir(g, RankingConfig(algorithm="ir", epsilon=1e-8))
+    res = rank(g, RankingConfig(algorithm="ir", epsilon=1e-8))
     assert res.reputations.tolist() == [1e8, 1e8, 1e8]
     assert res.qualities.tolist() == [5.0, 2.0]
-
-
-RANKERS = (("ir", rank_ir), ("cr", rank_cr), ("rr", rank_rr))
 
 
 def test_single_iteration_reports_unknown_residual():
     rng = np.random.default_rng(12)
     g = random_bipartite(rng)
-    for algorithm, fn in RANKERS:
-        res = fn(g, RankingConfig(algorithm=algorithm, max_iterations=1))
+    for algorithm in ("ir", "cr", "rr"):
+        res = rank(g, RankingConfig(algorithm=algorithm, max_iterations=1))
         assert res.iterations_used == 1
         assert not res.converged
         assert math.isinf(res.final_residual)
@@ -120,9 +116,9 @@ def test_single_iteration_reports_unknown_residual():
 def test_convergence_bookkeeping():
     rng = np.random.default_rng(13)
     g = random_bipartite(rng)
-    for algorithm, fn in RANKERS:
-        res = fn(g, RankingConfig(algorithm=algorithm, delta=1e-6,
-                                  max_iterations=500))
+    for algorithm in ("ir", "cr", "rr"):
+        res = rank(g, RankingConfig(algorithm=algorithm, delta=1e-6,
+                                    max_iterations=500))
         assert res.converged
         assert res.iterations_used >= 2
         assert res.final_residual < 1e-6
@@ -134,8 +130,8 @@ def test_cr_equals_stripped_rr_per_iteration():
     cfg = RankingConfig(algorithm="rr", theta=1.0, delta=1e-30,
                         max_iterations=40)
     tr_cr, tr_rr = [], []
-    rank_cr(g, replace(cfg, algorithm="cr"), trace=tr_cr)
-    rank_rr(g, cfg, use_penalty=False, use_damping=False, trace=tr_rr)
+    fixed_point(g, replace(cfg, algorithm="cr"), trace=tr_cr)
+    fixed_point(g, cfg, use_penalty=False, use_damping=False, trace=tr_rr)
     assert len(tr_cr) == len(tr_rr) >= 2
     for (q1, r1), (q2, r2) in zip(tr_cr, tr_rr):
         np.testing.assert_allclose(q1, q2, atol=1e-12)
@@ -146,7 +142,7 @@ def test_degenerate_users_get_zero_reputation():
     # user 1 rates everything 3: no variance, no correlation
     g = RatingGraph.build(2, 3, [0, 0, 0, 1, 1, 1], [0, 1, 2, 0, 1, 2],
                           [5, 3, 1, 3, 3, 3])
-    res = rank_cr(g)
+    res = rank(g, RankingConfig(algorithm="cr"))
     assert res.reputations[1] == 0.0
     assert res.reputations[0] > 0.0
 
@@ -159,10 +155,10 @@ def test_constant_quality_side_gets_zero_reputation():
     users, items = zip(*((j, i) for j in range(7) for i in range(7)))
     ratings = [base[(i - j) % 7] for j, i in zip(users, items)]
     g = RatingGraph.build(7, 7, users, items, ratings)
-    plain = rank_mean(g).qualities
+    plain = rank(g, RankingConfig(algorithm="mean")).qualities
     assert (plain == 8 / 7).all()
-    for fn in (rank_cr, rank_rr):
-        res = fn(g)
+    for algorithm in ("cr", "rr"):
+        res = rank(g, RankingConfig(algorithm=algorithm))
         assert res.reputations.tolist() == [0.0] * 7
         assert np.array_equal(res.qualities, plain)
 
@@ -170,8 +166,8 @@ def test_constant_quality_side_gets_zero_reputation():
 def test_all_degenerate_falls_back_to_plain_mean():
     # every reputation collapses to 0; quality must be the plain mean
     g = RatingGraph.build(2, 2, [0, 0, 1, 1], [0, 1, 0, 1], [2, 2, 4, 4])
-    for fn in (rank_cr, rank_rr):
-        res = fn(g)
+    for algorithm in ("cr", "rr"):
+        res = rank(g, RankingConfig(algorithm=algorithm))
         assert res.reputations.tolist() == [0.0, 0.0]
         np.testing.assert_allclose(res.qualities, [3.0, 3.0])
         assert res.converged
@@ -180,13 +176,14 @@ def test_all_degenerate_falls_back_to_plain_mean():
 def test_quality_bounds():
     rng = np.random.default_rng(15)
     g = random_bipartite(rng)
-    for res in (rank_mean(g), rank_ir(g), rank_cr(g),
-                rank_rr(g, use_penalty=False)):
+    for res in (*(rank(g, RankingConfig(algorithm=a))
+                  for a in ("mean", "ir", "cr")),
+                fixed_point(g, RankingConfig(), use_penalty=False)):
         q = res.qualities
         assert q.min() >= 1.0 - 1e-9 and q.max() <= 5.0 + 1e-9
     # the penalty factor min(1, top rater reputation) lies in [0, 1], so it
     # can only mark a weighted mean down, never above the rating scale
-    res = rank_rr(g)
+    res = rank(g, RankingConfig())
     q = res.qualities
     assert q.min() >= 0.0 and q.max() <= 5.0 + 1e-9
     assert (res.reputations >= 0).all()
@@ -270,7 +267,7 @@ def test_rr_matches_oracle_where_penalty_cap_binds():
     cfg = RankingConfig(algorithm="rr", theta=5.0, delta=1e-30,
                         max_iterations=50)
     tr = []
-    res = rank_rr(g, cfg, trace=tr)
+    res = fixed_point(g, cfg, trace=tr)
     # redistribution at theta=5 pushes some reputation above 1, so the
     # cap on the penalty factor is exercised
     assert max(rep.max() for _, rep in tr) > 1.0
@@ -283,7 +280,7 @@ def test_ir_matches_oracle():
     cfg = RankingConfig(algorithm="ir", delta=1e-8, max_iterations=200)
     for _ in range(40):
         g = random_bipartite(rng)
-        assert_matches_oracle(rank_ir(g, cfg), oracle_ir, g,
+        assert_matches_oracle(rank(g, cfg), oracle_ir, g,
                               delta=1e-8, max_iterations=200)
 
 
@@ -292,7 +289,7 @@ def test_cr_matches_stripped_rr_oracle():
     cfg = RankingConfig(algorithm="cr", delta=1e-8, max_iterations=200)
     for _ in range(40):
         g = random_bipartite(rng)
-        assert_matches_oracle(rank_cr(g, cfg), oracle_rr, g, theta=1.0,
+        assert_matches_oracle(rank(g, cfg), oracle_rr, g, theta=1.0,
                               delta=1e-8, max_iterations=200,
                               use_penalty=False, use_damping=False)
 
@@ -311,7 +308,7 @@ def test_rr_matches_oracle(seed):
     for _ in range(40):
         g = random_bipartite(rng)
         tr, otr = [], []
-        res = rank_rr(g, RankingConfig(algorithm="rr", **kw), trace=tr)
+        res = fixed_point(g, RankingConfig(algorithm="rr", **kw), trace=tr)
         ref = run_oracle(oracle_rr, g, trace=otr, **kw)
         split = any(not np.array_equal(rep == 0.0, np.asarray(orep) == 0.0)
                     for (_, rep), (_, orep) in zip(tr, otr))
@@ -326,11 +323,11 @@ CR_READING = dict(theta=1.0, delta=1e-8, max_iterations=200,
 
 
 def assert_cr_matches_oracle(g):
-    """rank_cr against the cr reading of oracle_rr, zero reputations
-    included; returns the trace."""
+    """cr against the cr reading of oracle_rr, zero reputations included;
+    returns the trace."""
     tr = []
-    res = rank_cr(g, RankingConfig(algorithm="cr", delta=1e-8,
-                                   max_iterations=200), trace=tr)
+    res = fixed_point(g, RankingConfig(algorithm="cr", delta=1e-8,
+                                       max_iterations=200), trace=tr)
     orep = assert_matches_oracle(res, oracle_rr, g, **CR_READING)
     assert np.array_equal(res.reputations == 0.0, orep == 0.0)
     return tr
@@ -345,8 +342,8 @@ def test_many_rating_classes_match_oracle():
         g = g.with_ratings(rng.uniform(1.0, 5.0, g.num_links))
         assert g.rating_classes.values.size == g.num_links
         assert_cr_matches_oracle(g)
-        assert_matches_oracle(rank_ir(g, RankingConfig(algorithm="ir",
-                                                       delta=1e-8)),
+        assert_matches_oracle(rank(g, RankingConfig(algorithm="ir",
+                                                    delta=1e-8)),
                               oracle_ir, g, delta=1e-8)
 
 
@@ -381,23 +378,11 @@ def test_trace_collects_iterations():
     rng = np.random.default_rng(16)
     g = random_bipartite(rng)
     tr = []
-    res = rank_rr(g, RankingConfig(max_iterations=5, delta=1e-30), trace=tr)
+    res = fixed_point(g, RankingConfig(max_iterations=5, delta=1e-30),
+                      trace=tr)
     assert len(tr) == res.iterations_used
     np.testing.assert_array_equal(tr[-1][0], res.qualities)
     np.testing.assert_array_equal(tr[-1][1], res.reputations)
-
-
-def test_dispatcher_matches_direct_calls():
-    rng = np.random.default_rng(17)
-    g = random_bipartite(rng)
-    pairs = [("mean", rank_mean(g)),
-             ("ir", rank_ir(g, RankingConfig(algorithm="ir"))),
-             ("cr", rank_cr(g, RankingConfig(algorithm="cr"))),
-             ("rr", rank_rr(g, RankingConfig(algorithm="rr")))]
-    for algo, direct in pairs:
-        via = rank(g, RankingConfig(algorithm=algo))
-        np.testing.assert_array_equal(via.qualities, direct.qualities)
-        np.testing.assert_array_equal(via.reputations, direct.reputations)
 
 
 def permute_graph(g, rng):
@@ -420,16 +405,6 @@ def test_relabeling_equivariance(algorithm):
                                rtol=1e-10)
 
 
-def test_rankers_reject_a_config_for_another_algorithm():
-    g = random_bipartite(np.random.default_rng(26))
-    for algorithm, fn in RANKERS:
-        for other in ALGORITHMS:
-            if other != algorithm:
-                with pytest.raises(ValueError, match=f"rank_{algorithm} was "
-                                   f"given a config for '{other}'"):
-                    fn(g, RankingConfig(algorithm=other))
-
-
 # ------------------------------------------------ constant-rating items
 
 @pytest.mark.parametrize("p1", [0.05, 0.35])
@@ -450,9 +425,10 @@ def test_constant_rating_items_rank_exactly(p1):
             [*g.ratings, *[2.0] * raters.size]), params)
         for algorithm in ("mean", "ir", "cr"):
             assert rank(h, RankingConfig(algorithm=algorithm)).qualities[i] == r
-        assert rank_rr(h, use_penalty=False).qualities[i] == r
+        assert fixed_point(h, RankingConfig(),
+                           use_penalty=False).qualities[i] == r
         tr = []
-        res = rank_rr(h, RankingConfig(max_iterations=20), trace=tr)
+        res = fixed_point(h, RankingConfig(max_iterations=20), trace=tr)
         rep = tr[-2][1] if len(tr) > 1 else h.user_degrees / h.num_items
         top = rep[raters].max()
         assert res.qualities[i] == (r * min(top, 1.0) if top > 0 else r)
@@ -631,6 +607,19 @@ def test_columns_equal_separate_rank_calls(seed, algorithm, corner, params):
         assert_identical(got, rank(project_graph(g, p), config))
 
 
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_projections_on_two_groupings_are_rejected(algorithm):
+    # (0, 1) and (1, 0) both merge the classes to the values [1, 3, 5], on
+    # other labels: the second cell must not rank on the first's operators
+    # (mean and cr did, 1.0 and 2.0 off on this graph)
+    g = random_bipartite(np.random.default_rng(35))
+    cells = [project_classes(g.rating_classes, ProjectionParams(*p))
+             for p in ((0.0, 1.0), (1.0, 0.0))]
+    assert cells[0].values.tolist() == cells[1].values.tolist()
+    with pytest.raises(ValueError, match="one grouping"):
+        rank_projections(g, RankingConfig(algorithm=algorithm), cells)
+
+
 def test_columns_stop_at_their_own_iterations():
     g = random_bipartite(np.random.default_rng(32))
     config = RankingConfig(algorithm="cr", delta=1e-12, max_iterations=40)
@@ -664,11 +653,11 @@ def test_correlation_rankers_match_oracle(seed):
     # carry 1e-12 relative noise, more than the raw moments' own error here
     # (at most k·eps/1e-2 per correlation, k <= 20).
     g = random_bipartite(np.random.default_rng(seed))
-    for fn, algorithm, kw in ((rank_cr, "cr", CR_READING),
-                              (rank_rr, "rr", RR_READING)):
+    for algorithm, kw in (("cr", CR_READING), ("rr", RR_READING)):
         tr, otr = [], []
-        res = fn(g, RankingConfig(algorithm=algorithm, theta=kw["theta"],
-                                  delta=1e-8, max_iterations=200), trace=tr)
+        res = fixed_point(g, RankingConfig(
+            algorithm=algorithm, theta=kw["theta"], delta=1e-8,
+            max_iterations=200), trace=tr)
         ref = run_oracle(oracle_rr, g, trace=otr, **kw)
         if (any(not np.array_equal(rep == 0.0, np.asarray(orep) == 0.0)
                 for (_, rep), (_, orep) in zip(tr, otr))

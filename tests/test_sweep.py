@@ -6,7 +6,7 @@ import pytest
 from reprank.graph import BenchmarkSet, RatingGraph
 from reprank.metrics import ranking_score, top_fraction_benchmark
 from reprank.projection import ProjectionParams, project_graph
-from reprank.ranking import RankingConfig, rank
+from reprank.ranking import ALGORITHMS, RankingConfig, rank
 from reprank.sweep import (DEFAULT_BENCHMARK_FRACTION, DEFAULT_REALIZATIONS,
                            Optimum, RealSource, SweepGrid, SynthSource,
                            _grid_for_graph, compare_table, find_optimum,
@@ -146,13 +146,15 @@ def test_run_sweep_real_source_restrictions():
         run_sweep(src, CR, n_realizations=2)
 
 
-def test_run_sweep_is_seed_paired_and_thread_invariant():
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_run_sweep_is_seed_paired_and_thread_invariant(algorithm):
     src = SynthSource(dataclasses.replace(TINY, seed=99))
+    config = RankingConfig(algorithm=algorithm)
     kw = dict(metric="rs", p1_values=(0.0, 0.5, 1.0), p2_values=(0.5,),
               n_realizations=3)
-    serial = run_sweep(src, CR, threads=1, **kw)
-    pooled = run_sweep(src, CR, threads=3, **kw)
-    again = run_sweep(src, CR, threads=1, **kw)
+    serial = run_sweep(src, config, threads=1, **kw)
+    pooled = run_sweep(src, config, threads=3, **kw)
+    again = run_sweep(src, config, threads=1, **kw)
     for other in (pooled, again):
         assert np.array_equal(serial.mean, other.mean)
         assert np.array_equal(serial.std, other.std)
