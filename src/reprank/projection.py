@@ -46,12 +46,15 @@ def project_rating(rating: float, params: ProjectionParams) -> float:
 
 def project_classes(classes: RatingClasses,
                     params: ProjectionParams) -> RatingClasses:
-    """A projection's rating classes, from its source's: in O(classes) with
-    the source's grouping and cache where no two classes merge; a merge (p1
-    or p2 at 0 or 1) regroups the links once, kept in the source's cache."""
+    """A projection's rating classes, from its source's: the source's own
+    where no value moves; in O(classes) with the source's grouping and cache
+    where no two classes merge; a merge (p1 or p2 at 0 or 1) regroups the
+    links once, kept in the source's cache."""
     values = classes.values.copy()
     values[classes.values == 2.0] = 1.0 + params.p1 * 2.0
     values[classes.values == 4.0] = 3.0 + params.p2 * 2.0
+    if np.array_equal(values, classes.values):
+        return classes
     if (np.diff(values) > 0).all():
         return RatingClasses(values, classes.labels, classes.cache)
     values, remap = np.unique(values, return_inverse=True)
@@ -64,5 +67,9 @@ def project_classes(classes: RatingClasses,
 
 def project_graph(graph: RatingGraph, params: ProjectionParams) -> RatingGraph:
     """Remap all link weights of a graph; topology and link order are shared
-    with the source, and so are its classes' operators where none merge."""
-    return graph._with_classes(project_classes(graph.rating_classes, params))
+    with the source, and so are its classes' operators where none merge. One
+    that moves no rating (the identity on any graph, or any projection of a
+    graph without ratings 2 and 4) returns the source graph itself."""
+    classes = project_classes(graph.rating_classes, params)
+    return (graph if classes is graph.rating_classes
+            else graph._with_classes(classes))

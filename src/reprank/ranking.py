@@ -34,6 +34,7 @@ that of the K = 1 run `rank` makes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -61,7 +62,9 @@ class RankingConfig:
         _require(0 < self.epsilon < np.inf, "epsilon must be finite and > 0")
         _require(0 < self.theta < np.inf, "theta must be finite and > 0")
         _require(0 < self.delta < np.inf, "delta must be finite and > 0")
-        _require(self.max_iterations >= 1, "max_iterations must be >= 1")
+        m = self.max_iterations
+        _require(isinstance(m, (int, np.integer)) and not isinstance(m, bool)
+                 and m >= 1, "max_iterations must be an integer >= 1")
 
 
 @dataclass(frozen=True)
@@ -147,14 +150,19 @@ class _Columns:
         self.items, self.users = items, users = _operators(graph, cells[0])
         self.values = np.array([c.values for c in cells])   # K x classes
         self.vi = self.values[:, items.cls].T               # item pairs x K
-        vu = self.values[:, users.cls].T
         self.plain = _class_means(items, self.vi, np.broadcast_to(
             items.count[:, None], self.vi.shape))[0]
-        n = users.count[:, None]
-        self.rbar = (users.nodes @ (n * vu)).T / graph.user_degrees
-        self.dv = vu - self.rbar.T[users.node]              # centred
-        self.ss_r = (users.nodes @ (n * self.dv ** 2)).T
-        self.spread = np.diff(users.nodes.indptr) > 1
+
+    @cached_property
+    def rating_side(self):
+        """The Pearson's rating side, built on first use (by cr and rr): r̄,
+        the centred class values (pairs x K), ss_r and the spread test."""
+        users, n = self.users, self.users.count[:, None]
+        vu = self.values[:, users.cls].T
+        rbar = (users.nodes @ (n * vu)).T / self.graph.user_degrees
+        dv = vu - rbar.T[users.node]
+        return (rbar, dv, (users.nodes @ (n * dv ** 2)).T,
+                np.diff(users.nodes.indptr) > 1)
 
 
 def _weighted_quality(cols, rep):
@@ -237,7 +245,7 @@ def _pearson(cols, q):
     """Per-column, per-user Pearson correlation of (ratings, qualities q).
 
     The rating side (class values centred per user, their sum of squares and
-    the spread test) comes with the columns. The quality side comes from raw
+    the spread test) is cols.rating_side. The quality side comes from raw
     moments per (user, class) pair, with no per-link gather: the numerator is
     Σ (v - r̄)·Σq over the pairs (centred ratings sum to 0), and ss_q = Σq² −
     (Σq)²/k, exact to about k·eps·Σq². Users with ss_q <= 1e-2·Σq² take the
@@ -250,13 +258,13 @@ def _pearson(cols, q):
     users (either vector constant) get 0.
     """
     graph, k = cols.graph, cols.graph.user_degrees
-    users = cols.users
+    users, (rbar, dv, ss_r, spread) = cols.users, cols.rating_side
     s2 = (users.nodes @ (users.pairs @ (q * q).T)).T
     t = users.pairs @ q.T                   # Σq per (user, class) pair
-    s1, num = (users.nodes @ t).T, (users.nodes @ (cols.dv * t)).T
+    s1, num = (users.nodes @ t).T, (users.nodes @ (dv * t)).T
     ss_q = s2 - s1 * s1 / k
-    good = cols.spread & (ss_q > 1e-2 * s2)
-    col, u = np.nonzero(cols.spread & ~good)
+    good = spread & (ss_q > 1e-2 * s2)
+    col, u = np.nonzero(spread & ~good)
     if u.size:      # the exact two-pass path, on these users' links
         kc = k[u]
         ptr = np.append(0, np.cumsum(kc))
@@ -267,11 +275,10 @@ def _pearson(cols, q):
         good[col, u] = (np.maximum.reduceat(dq, ptr[:-1])
                         > np.minimum.reduceat(dq, ptr[:-1]))
         dq -= np.repeat(L @ dq / kc, kc)
-        dr = cols.values[cc, cols.labels[at]] - np.repeat(cols.rbar[col, u],
-                                                          kc)
+        dr = cols.values[cc, cols.labels[at]] - np.repeat(rbar[col, u], kc)
         num[col, u] = L @ (dr * dq)
         ss_q[col, u] = L @ (dq * dq)
-    den = np.sqrt(np.where(good, cols.ss_r * ss_q, 0.0))
+    den = np.sqrt(np.where(good, ss_r * ss_q, 0.0))
     out = np.zeros_like(num)
     np.divide(num, den, out=out, where=den > 0.0)
     return np.clip(out, -1.0, 1.0, out=out)

@@ -43,6 +43,16 @@ def test_midranks_match_reference(qualities):
                                   oracle_midranks(qualities))
 
 
+@given(tie_vectors, st.data())
+def test_ranking_score_ranks_only_the_benchmark(qualities, data):
+    """The score ranks only the benchmark's items, in sorted order, so it
+    averages the very floats the full midrank vector holds there."""
+    bench = data.draw(st.sets(st.integers(0, len(qualities) - 1), min_size=1))
+    want = (np.mean(np.asarray(oracle_midranks(qualities))[sorted(bench)])
+            / len(qualities))
+    assert ranking_score(qualities, BenchmarkSet(frozenset(bench))).value == want
+
+
 def test_ranking_score_values():
     q = [5.0, 4.0, 3.0, 2.0, 1.0]
     assert ranking_score(q, BenchmarkSet(frozenset({0}))).value == 0.2

@@ -4,7 +4,8 @@ from hypothesis import given, strategies as st
 
 from nets import random_bipartite
 from reprank.graph import RatingGraph
-from reprank.projection import ProjectionParams, project_graph, project_rating
+from reprank.projection import (ProjectionParams, project_classes,
+                                project_graph, project_rating)
 from reprank.ranking import RankingConfig, rank
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -97,15 +98,33 @@ def test_graph_and_scalar_paths_agree(p1, p2, seed):
     expected = np.array([project_rating(r, params) for r in g.ratings])
     assert h.ratings.tobytes() == expected.tobytes()
     assert not h.ratings.flags.writeable
+    # a new graph exactly where some rating moved
+    assert (h is g) == (expected.tobytes() == g.ratings.tobytes())
+
+
+@given(seed=st.integers(0, 2**32 - 1), p1=param, p2=param)
+def test_no_op_projection_returns_its_source(seed, p1, p2):
+    rng = np.random.default_rng(seed)
+    g = random_bipartite(rng)
+    assert project_graph(g, ProjectionParams(0.5, 0.5)) is g
+    assert (project_classes(g.rating_classes, ProjectionParams(0.5, 0.5))
+            is g.rating_classes)
+    # no rating 2 or 4 to move: any projection is a no-op
+    h = g.with_ratings(rng.choice([1.0, 3.0, 5.0], size=g.num_links))
+    assert project_graph(h, ProjectionParams(0.0, 1.0)) is h
+    assert project_graph(h, ProjectionParams(p1, p2)) is h
 
 
 @pytest.mark.parametrize("algorithm", ["mean", "ir", "cr", "rr"])
 def test_identity_projection_leaves_rank_unchanged(algorithm):
+    """Against a graph rebuilt from the same links, so that neither run
+    reuses what the other cached."""
     config = RankingConfig(algorithm=algorithm)
     rng = np.random.default_rng(25)
     for _ in range(10):
         g = random_bipartite(rng)
-        a = rank(g, config)
+        a = rank(RatingGraph.build(g.num_users, g.num_items, g.users, g.items,
+                                   g.ratings), config)
         b = rank(project_graph(g, ProjectionParams(0.5, 0.5)), config)
         assert a.qualities.tobytes() == b.qualities.tobytes()
         assert a.reputations.tobytes() == b.reputations.tobytes()

@@ -38,6 +38,17 @@ def test_config_validation():
             RankingConfig(**{name: math.inf})
 
 
+@pytest.mark.parametrize("bad", [2.5, True])
+def test_max_iterations_must_be_an_integer(bad):
+    with pytest.raises(ValueError, match="max_iterations must be an integer"):
+        RankingConfig(max_iterations=bad)
+
+
+def test_max_iterations_accepts_numpy_integers():
+    assert rank(random_bipartite(np.random.default_rng(3)), RankingConfig(
+        algorithm="cr", max_iterations=np.int64(2))).iterations_used <= 2
+
+
 def test_residual():
     assert _residual(np.array([1.0, 2.0]), np.array([1.0, 2.0])) == 0.0
     assert _residual(np.array([1.0, 3.0]), np.array([2.0, 1.0])) == 2.5
