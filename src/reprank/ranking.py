@@ -27,8 +27,8 @@ pairs x items, 1 per link, a node's pairs in the order of their first
 links. The loop runs K columns, each a set of class values on one grouping
 of the links (a sweep's projections); each stops at its own convergence.
 Each operation acts on each column alone (scipy's sparse products sum a
-column as a single-vector product does), so a column's result is exactly
-that of the K = 1 run `rank` makes.
+column as a single-vector product does, and rows are summed C-ordered), so
+a column's result is exactly that of the K = 1 run `rank` makes.
 """
 
 from __future__ import annotations
@@ -224,19 +224,38 @@ def _fixed_point(cfg, graph, cells, trace=None, **kw) -> list:
         q_prev = q
 
 
+def _user_sums(cols, q):
+    """Σq per (user, class) pair (pairs x K) and Σq² per column and user."""
+    users = cols.users
+    return users.pairs @ q.T, (users.nodes @ (users.pairs @ (q * q).T)).T
+
+
+def _user_links(cols, q, col, u):
+    """The exact path's gather for users u, each in its column col: their
+    link ratings and the qualities of the items they rated, user by user in
+    link order, and the users x links operator that sums each user's links."""
+    graph, k = cols.graph, cols.graph.user_degrees[u]
+    ptr = np.append(0, np.cumsum(k))
+    at = np.arange(ptr[-1]) + np.repeat(graph.user_ptr[u] - ptr[:-1], k)
+    cc = np.repeat(col, k)
+    L = sp.csr_array((np.ones(at.size), np.arange(at.size), ptr))
+    return cols.values[cc, cols.labels[at]], q[cc, graph.items[at]], L
+
+
 def _ir_step(cfg, cols):
-    """ir runs one column at a time: its MSE sums per link."""
-    graph = cols.graph
-    ratings = cols.values[0].take(cols.labels)
-    d = np.empty(graph.num_links)
-    D = sp.csr_array((d, graph.items, graph.user_ptr),      # a view of d
-                     shape=(graph.num_users, graph.num_items))
+    """ir's error per user, Σ(r - q)² = Σ n·v² - 2·Σ v·Σq + Σq² per pair;
+    users where that is at most 1e-2·Σr² take the exact path's link sum."""
+    users, vu = cols.users, cols.values[:, cols.users.cls].T
+    ss_r = (users.nodes @ (users.count[:, None] * vu * vu)).T
 
     def step(q, _):
-        np.subtract(ratings, q[0][graph.items], out=d)
-        np.multiply(d, d, out=d)
-        mse = D @ np.ones(graph.num_items) / graph.user_degrees
-        return q, (mse + cfg.epsilon)[None] ** (-cfg.beta)
+        t, s2 = _user_sums(cols, q)
+        err = ss_r - 2 * (users.nodes @ (vu * t)).T + s2
+        col, u = np.nonzero(err <= 1e-2 * ss_r)
+        if u.size:
+            r, rq, L = _user_links(cols, q, col, u)
+            err[col, u] = L @ ((r - rq) ** 2)
+        return q, (err / cols.graph.user_degrees + cfg.epsilon) ** (-cfg.beta)
 
     return step
 
@@ -257,26 +276,20 @@ def _pearson(cols, q):
     moments' relative error stays below k·eps/1e-2 for the rest. Degenerate
     users (either vector constant) get 0.
     """
-    graph, k = cols.graph, cols.graph.user_degrees
-    users, (rbar, dv, ss_r, spread) = cols.users, cols.rating_side
-    s2 = (users.nodes @ (users.pairs @ (q * q).T)).T
-    t = users.pairs @ q.T                   # Σq per (user, class) pair
+    k, users = cols.graph.user_degrees, cols.users
+    rbar, dv, ss_r, spread = cols.rating_side
+    t, s2 = _user_sums(cols, q)
     s1, num = (users.nodes @ t).T, (users.nodes @ (dv * t)).T
     ss_q = s2 - s1 * s1 / k
     good = spread & (ss_q > 1e-2 * s2)
     col, u = np.nonzero(spread & ~good)
     if u.size:      # the exact two-pass path, on these users' links
         kc = k[u]
-        ptr = np.append(0, np.cumsum(kc))
-        at = np.arange(ptr[-1]) + np.repeat(graph.user_ptr[u] - ptr[:-1], kc)
-        cc = np.repeat(col, kc)
-        L = sp.csr_array((np.ones(at.size), np.arange(at.size), ptr))
-        dq = q[cc, graph.items[at]]
-        good[col, u] = (np.maximum.reduceat(dq, ptr[:-1])
-                        > np.minimum.reduceat(dq, ptr[:-1]))
+        r, dq, L = _user_links(cols, q, col, u)
+        good[col, u] = (np.maximum.reduceat(dq, L.indptr[:-1])
+                        > np.minimum.reduceat(dq, L.indptr[:-1]))
         dq -= np.repeat(L @ dq / kc, kc)
-        dr = cols.values[cc, cols.labels[at]] - np.repeat(rbar[col, u], kc)
-        num[col, u] = L @ (dr * dq)
+        num[col, u] = L @ ((r - np.repeat(rbar[col, u], kc)) * dq)
         ss_q[col, u] = L @ (dq * dq)
     den = np.sqrt(np.where(good, ss_r * ss_q, 0.0))
     out = np.zeros_like(num)
@@ -292,7 +305,7 @@ def _cr_step(cfg, cols):
 
 
 def _rr_step(cfg, cols, use_penalty=True, use_damping=True):
-    """rr runs one column at a time: its penalty gathers per link.
+    """rr's step; its trust is C-ordered, so a row sums as a lone vector.
 
     Quality is the reputation-weighted mean scaled by the penalty factor
     min(1, top rater reputation), so full rr qualities stay within [0, 5].
@@ -315,18 +328,18 @@ def _rr_step(cfg, cols, use_penalty=True, use_damping=True):
 
     def step(q, rep):
         if use_penalty:
-            # scale only where the weighted mean applied: reputations are
-            # non-negative, so a zero top rater reputation means zero total
-            # weight and the item already holds its plain-mean fallback
-            penalty = np.maximum.reduceat(rep[0].take(raters), starts)[None]
+            # a column at a time, as a K x links gather is large; scaled only
+            # where the weighted mean applied: reputations are non-negative, so
+            # a zero top rater means zero weight, so the plain mean stands
+            penalty = np.array([np.maximum.reduceat(r.take(raters), starts)
+                                for r in rep])
             pos = penalty > 0
             q[pos] *= np.minimum(penalty[pos], 1.0)
-
-        trust = np.maximum(_pearson(cols, q), 0.0) * damping
+        trust = np.maximum(_pearson(cols, q), 0.0, order="C") * damping
         powered = trust ** cfg.theta
-        mass = powered.sum()
-        rep = powered * (trust.sum() / mass) if mass > 0 else np.zeros_like(trust)
-        return q, rep
+        mass = powered.sum(axis=1, keepdims=True)
+        return q, powered * np.divide(trust.sum(axis=1, keepdims=True), mass,
+                                      out=np.zeros_like(mass), where=mass > 0)
 
     return step
 
@@ -337,18 +350,15 @@ _STEPS = {"ir": _ir_step, "cr": _cr_step, "rr": _rr_step}
 def rank_projections(graph: RatingGraph, config: RankingConfig,
                      cells) -> list[RankingResult]:
     """rank on `graph` under each rating classes in `cells`, all on one
-    grouping of its links (`projection.project_classes`): cr as one K-column
-    fixed point, ir and rr a column at a time. Each result equals rank() on
-    the graph that carries those ratings; cells on another grouping than
-    the first raise ValueError."""
+    grouping of its links (`projection.project_classes`), as one K-column
+    fixed point. Each result equals rank() on the graph that carries those
+    ratings; cells on another grouping than the first raise ValueError."""
     _require(all(c.cache is cells[0].cache for c in cells),
              "rank_projections needs cells on one grouping of the links")
     if config.algorithm == "mean":
         return [RankingResult(np.ones(graph.num_users), q.copy(), 1, True, 0.0)
                 for q in _Columns(graph, cells).plain]
-    if config.algorithm == "cr":
-        return _fixed_point(config, graph, cells)
-    return [_fixed_point(config, graph, [c])[0] for c in cells]
+    return _fixed_point(config, graph, cells)
 
 
 def rank(graph: RatingGraph, config: RankingConfig) -> RankingResult:

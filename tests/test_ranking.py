@@ -602,6 +602,8 @@ def test_spam_and_corner_graphs_rank_on_their_own_classes():
        corner=st.sampled_from([None, (0.0, None), (None, 1.0)]),
        params=st.lists(st.tuples(st.floats(0.01, 0.99), st.floats(0.01, 0.99)),
                        min_size=1, max_size=6))
+@example(seed=0, algorithm="rr", corner=None,    # rr's row sums: C-ordered
+         params=[(0.5, 0.5), (0.5, 0.5)])
 def test_columns_equal_separate_rank_calls(seed, algorithm, corner, params):
     # K projections on one grouping of the links ranked as K columns give
     # exactly K separate rank calls, columns that stop at other iterations
@@ -631,9 +633,11 @@ def test_projections_on_two_groupings_are_rejected(algorithm):
         rank_projections(g, RankingConfig(algorithm=algorithm), cells)
 
 
-def test_columns_stop_at_their_own_iterations():
+@pytest.mark.parametrize("algorithm", ["ir", "cr", "rr"])
+def test_columns_stop_at_their_own_iterations(algorithm):
     g = random_bipartite(np.random.default_rng(32))
-    config = RankingConfig(algorithm="cr", delta=1e-12, max_iterations=40)
+    config = RankingConfig(algorithm=algorithm, delta=1e-12,
+                           max_iterations=40)
     cells = [ProjectionParams(p1, p2) for p1 in (0.1, 0.5, 0.9)
              for p2 in (0.2, 0.7)]
     results = rank_projections(

@@ -212,11 +212,13 @@ def assert_cells_equal_direct_ranks(spec, p1_values, algorithm="cr"):
             assert (values[a, b], conv[a, b]) == (rs, direct.converged)
 
 
-def test_desk_grid_cells_equal_direct_ranks():
+@pytest.mark.parametrize("algorithm", ["ir", "cr", "rr"])
+def test_desk_grid_cells_equal_direct_ranks(algorithm):
     assert_cells_equal_direct_ranks(
         SynthSpec(num_users=600, num_items=400, num_links=48_000, seed=3),
-        grid_values())
+        grid_values(), algorithm)
 
 
-def test_paper_row_cells_equal_direct_ranks():
-    assert_cells_equal_direct_ranks(SynthSpec(seed=1), (0.5,))
+@pytest.mark.parametrize("algorithm", ["ir", "cr"])
+def test_paper_row_cells_equal_direct_ranks(algorithm):
+    assert_cells_equal_direct_ranks(SynthSpec(seed=1), (0.5,), algorithm)
