@@ -68,8 +68,6 @@ class RatingGraph:
     items: np.ndarray      # link item indices, canonical order
     ratings: np.ndarray    # link weights, canonical order
     user_ptr: np.ndarray   # CSR offsets over canonical order, len num_users+1
-    # what depends only on the links, filled by ranking, shared by with_ratings
-    _topology: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def build(
@@ -116,9 +114,8 @@ class RatingGraph:
             a.setflags(write=False)
         return cls(num_users, num_items, users, items, ratings, user_ptr)
 
-    def __getstate__(self):     # the caches are not pickled
-        return {**{k: v for k, v in vars(self).items()
-                   if k != "rating_classes"}, "_topology": {}}
+    def __getstate__(self):     # the cache is not pickled
+        return {k: v for k, v in vars(self).items() if k != "rating_classes"}
 
     # -- derived views -------------------------------------------------
 
@@ -137,15 +134,14 @@ class RatingGraph:
 
     @cached_property
     def rating_classes(self) -> RatingClasses:
-        """The links grouped by rating; a projection derives its own from
-        its source's (`projection.project_classes`)."""
-        values = np.unique(self.ratings)
-        labels = np.searchsorted(values, self.ratings)
+        """The links grouped by rating, built on first use; this graph's
+        alone, as `with_ratings` copies group their own."""
+        values, labels = np.unique(self.ratings, return_inverse=True)
         return RatingClasses(values, labels.astype(
             np.uint8 if values.size <= 256 else np.intp), {})
 
     def with_ratings(self, ratings: np.ndarray) -> "RatingGraph":
-        """Copy of this graph with new link weights; topology and cache shared."""
+        """Copy of this graph with new link weights and none of its caches."""
         ratings = np.asarray(ratings, dtype=np.float64)
         if ratings.shape != self.ratings.shape:
             raise ValueError("ratings length must match link count")
@@ -153,17 +149,6 @@ class RatingGraph:
         ratings = ratings.copy()
         ratings.setflags(write=False)
         return replace(self, ratings=ratings)
-
-    def _with_classes(self, classes: RatingClasses) -> "RatingGraph":
-        """with_ratings on the ratings of `classes`, kept as its classes; the
-        bounds of every link follow from those of the class values, and the
-        fresh array needs no copy."""
-        _check_rating_bounds(classes.values)
-        ratings = classes.values.take(classes.labels)
-        ratings.setflags(write=False)
-        out = replace(self, ratings=ratings)
-        vars(out)["rating_classes"] = classes    # as the cached_property would
-        return out
 
     def equals(self, other: "RatingGraph") -> bool:
         """Exact equality: same shape, same links, bit-equal ratings."""
@@ -331,13 +316,14 @@ def write_ratings_csv(
 ) -> None:
     """Serialize a graph in the generic CSV format; re-ingesting reproduces it.
 
-    Without id maps, dense indices are written as the external ids. An
-    external id that the CSV reader would not read back as itself, one
-    holding a comma or surrounding whitespace, is an error.
+    Without id maps, dense indices are written as the external ids. An id
+    the reader would not read back as itself (with a comma, line break or
+    surrounding whitespace, or a user id starting with `#`) is an error.
     """
     for id_map in (user_map, item_map):
         for ext in id_map.ids if id_map else ():
-            if "," in ext or ext != ext.strip():
+            if (any(c in ext for c in ",\n\r") or ext != ext.strip()
+                    or (id_map is user_map and ext.startswith("#"))):
                 raise ValueError(f"external id {ext!r} cannot be written "
                                  "to a ratings CSV")
     with _open_text(dest, "w") as stream:

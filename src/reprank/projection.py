@@ -25,12 +25,14 @@ class ProjectionParams:
     p1: float = 0.5
     p2: float = 0.5
 
-    def __post_init__(self):
+    def __post_init__(self):    # floats, so float32 input maps in float64
         for name, v in (("p1", self.p1), ("p2", self.p2)):
-            if not (isinstance(v, (int, float)) and np.isfinite(v)):
+            if not (isinstance(v, (int, float, np.integer, np.floating))
+                    and not isinstance(v, bool) and np.isfinite(v)):
                 raise ValueError(f"{name} must be a finite number")
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name}={v:g} outside [0, 1]")
+            object.__setattr__(self, name, float(v))
 
 
 def project_rating(rating: float, params: ProjectionParams) -> float:
@@ -66,10 +68,9 @@ def project_classes(classes: RatingClasses,
 
 
 def project_graph(graph: RatingGraph, params: ProjectionParams) -> RatingGraph:
-    """Remap all link weights of a graph; topology and link order are shared
-    with the source, and so are its classes' operators where none merge. One
-    that moves no rating (the identity on any graph, or any projection of a
-    graph without ratings 2 and 4) returns the source graph itself."""
+    """Remap all link weights of a graph, as a `with_ratings` copy. One that
+    moves no rating (the identity on any graph, or any projection of a graph
+    without ratings 2 and 4) returns the source graph itself."""
     classes = project_classes(graph.rating_classes, params)
     return (graph if classes is graph.rating_classes
-            else graph._with_classes(classes))
+            else graph.with_ratings(classes.values.take(classes.labels)))

@@ -104,7 +104,7 @@ def _side(node, n_nodes, other, n_other, classes, ones) -> _Side:
     row[key[first]] = np.arange(first.size)
     pairs = sp.csr_array((ones, (row[key], other.astype(idx))),
                          shape=(first.size, n_other))
-    pairs.data = ones                           # the topology's, shared
+    pairs.data = ones               # one array for every grouping of the links
     starts = np.searchsorted(node[first], np.arange(n_nodes + 1)).astype(idx)
     nodes = sp.csr_array((ones[:first.size], np.arange(first.size, dtype=idx),
                           starts), shape=(n_nodes, first.size))
@@ -112,17 +112,16 @@ def _side(node, n_nodes, other, n_other, classes, ones) -> _Side:
                  np.diff(pairs.indptr).astype(np.float64))
 
 
-def _operators(graph: RatingGraph, classes) -> tuple[_Side, _Side]:
-    """The item and user sides of `classes`' grouping of the links, built
-    once per grouping after the coverage check; one ones array per topology."""
+def _operators(g: RatingGraph, classes) -> tuple[_Side, _Side]:
+    """The item and user sides of `classes`' grouping of g's links, built
+    once per grouping after the coverage check; one ones array per graph."""
     if "operators" not in classes.cache:
-        _require(graph.num_links > 0, "the graph has no ratings")
-        _require((graph.user_degrees > 0).all(),
+        _require(g.num_links > 0, "the graph has no ratings")
+        _require((g.user_degrees > 0).all(),
                  "every user must have rated at least one item")
-        _require(np.bincount(graph.items, minlength=graph.num_items).all(),
+        _require(np.bincount(g.items, minlength=g.num_items).all(),
                  "every item must have at least one rating")
-        ones = graph._topology.setdefault("ones", np.ones(graph.num_links))
-        g = graph
+        ones = g.rating_classes.cache.setdefault("ones", np.ones(g.num_links))
         sides = ((g.items, g.num_items, g.users, g.num_users),
                  (g.users, g.num_users, g.items, g.num_items))
         classes.cache["operators"] = tuple(_side(*s, classes, ones)
@@ -355,6 +354,8 @@ def rank_projections(graph: RatingGraph, config: RankingConfig,
     ratings; cells on another grouping than the first raise ValueError."""
     _require(all(c.cache is cells[0].cache for c in cells),
              "rank_projections needs cells on one grouping of the links")
+    if not cells:
+        return []
     if config.algorithm == "mean":
         return [RankingResult(np.ones(graph.num_users), q.copy(), 1, True, 0.0)
                 for q in _Columns(graph, cells).plain]

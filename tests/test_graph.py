@@ -245,10 +245,16 @@ def test_write_without_maps_uses_indices():
 def test_write_rejects_ids_that_do_not_read_back():
     g = RatingGraph.build(1, 1, [0], [0], [3])
     for users, items in ((["a,b"], ["1"]), (["u"], ["1,2"]), ([" u"], ["1"]),
-                         (["u"], ["1 "])):
+                         (["u"], ["1 "]), (["#u"], ["1"]), (["a\nb"], ["1"]),
+                         (["u"], ["1\r2"])):
         with pytest.raises(ValueError, match="cannot be written"):
             write_ratings_csv(g, io.StringIO(), IdMap.from_ids(users),
                               IdMap.from_ids(items))
+    # only a line's first field can start a comment
+    buf = io.StringIO()
+    write_ratings_csv(g, buf, IdMap.from_ids(["u"]), IdMap.from_ids(["#1"]))
+    buf.seek(0)
+    assert ingest_ratings(buf).item_map.ids == ("#1",)
 
 
 def test_idmap_rejects_duplicates():

@@ -20,6 +20,17 @@ def test_params_validation():
             ProjectionParams(p2=bad)
 
 
+def test_params_take_numbers_not_bools():
+    for bad in ((True, 0.5), (0.5, False), (np.True_, 0.5), ("0.5", 0.5)):
+        with pytest.raises(ValueError, match="finite number"):
+            ProjectionParams(*bad)
+    # numpy scalars are accepted and kept as the Python floats they equal
+    p = ProjectionParams(np.float32(0.1), np.int64(1))
+    assert (p.p1, p.p2) == (float(np.float32(0.1)), 1.0)
+    assert type(p.p1) is float and type(p.p2) is float
+    assert project_rating(2.0, p) == 1.0 + float(np.float32(0.1)) * 2.0
+
+
 def test_endpoints():
     # 2 spans [1, 3] as p1 goes 0 -> 1; 4 spans [3, 5]; 1/3/5 are fixed
     assert project_rating(2.0, ProjectionParams(0.0, 0.5)) == 1.0

@@ -528,10 +528,9 @@ def test_cold_and_warm_topology_cache_rank_identically(algorithm):
     rng = np.random.default_rng(28)
     for _ in range(10):
         g = random_bipartite(rng)
-        assert not g._topology
+        assert not g.rating_classes.cache
         cold = rank(g, config)
-        assert "ones" in g._topology
-        assert "operators" in g.rating_classes.cache
+        assert set(g.rating_classes.cache) == {"ones", "operators"}
         assert_identical(cold, rank(g, config))
 
 
@@ -544,7 +543,6 @@ def test_projections_share_the_topology(algorithm):
         rank(g, config)
         for p in ((0.0, 1.0), (0.05, 0.3), (1.0, 1.0)):
             h = project_graph(g, ProjectionParams(*p))
-            assert h._topology is g._topology
             assert_identical(rank(h, config),
                              rank(same_links(g, h.ratings), config))
 
@@ -558,7 +556,7 @@ def test_uncovered_graph_raises_every_time_and_caches_nothing():
             for algorithm in ALGORITHMS:
                 with pytest.raises(ValueError, match=message):
                     rank(g, RankingConfig(algorithm=algorithm))
-        assert not g._topology
+        assert not g.rating_classes.cache
 
 
 def test_equals_and_pickle_ignore_the_topology_cache():
@@ -566,20 +564,19 @@ def test_equals_and_pickle_ignore_the_topology_cache():
     fresh = same_links(g)
     config = RankingConfig(algorithm="rr")
     rank(g, config)
-    assert set(g._topology) == {"ones"}
-    assert set(g.rating_classes.cache) == {"operators"}
+    assert set(g.rating_classes.cache) == {"ones", "operators"}
     assert g.equals(fresh) and fresh.equals(g)
     assert pickle.dumps(g) == pickle.dumps(fresh)
     copy = pickle.loads(pickle.dumps(g))
-    assert not copy._topology and "rating_classes" not in vars(copy)
+    assert "rating_classes" not in vars(copy)
     assert copy.equals(g)
     assert_identical(rank(copy, config), rank(g, config))
 
 
 def test_spam_and_corner_graphs_rank_on_their_own_classes():
-    # inject_spam shares the topology through with_ratings, and a corner
-    # projection merges classes; each must rank like a fresh graph with the
-    # same ratings, never on the clean classes' operators
+    # inject_spam and a corner projection (which merges classes) give
+    # with_ratings copies; each must rank like a fresh graph with the same
+    # ratings, never on the clean classes' operators
     rng = np.random.default_rng(31)
     for algorithm in ALGORITHMS:
         config = RankingConfig(algorithm=algorithm)
@@ -589,11 +586,16 @@ def test_spam_and_corner_graphs_rank_on_their_own_classes():
             spam = inject_spam(g, 0.5, rng)
             corner = project_graph(g, ProjectionParams(1.0, 0.0))
             for h in (spam, corner):
-                assert h._topology is g._topology
                 assert_identical(rank(h, config),
                                  rank(same_links(g, h.ratings), config))
                 assert (h.rating_classes.cache["operators"]
                         is not g.rating_classes.cache["operators"])
+            # a merged grouping of g's links holds no ones array of its own
+            merged = project_classes(g.rating_classes,
+                                     ProjectionParams(1.0, 0.0))
+            rank_projections(g, config, [merged])
+            for side in merged.cache["operators"]:
+                assert side.pairs.data is g.rating_classes.cache["ones"]
 
 
 @settings(deadline=None)
@@ -631,6 +633,12 @@ def test_projections_on_two_groupings_are_rejected(algorithm):
     assert cells[0].values.tolist() == cells[1].values.tolist()
     with pytest.raises(ValueError, match="one grouping"):
         rank_projections(g, RankingConfig(algorithm=algorithm), cells)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_no_projections_rank_to_no_results(algorithm):
+    g = random_bipartite(np.random.default_rng(36))
+    assert rank_projections(g, RankingConfig(algorithm=algorithm), []) == []
 
 
 @pytest.mark.parametrize("algorithm", ["ir", "cr", "rr"])
