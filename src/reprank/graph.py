@@ -337,19 +337,19 @@ def write_ratings_csv(
 def load_benchmark(source: str | Path | TextIO, item_map: IdMap) -> BenchmarkLoad:
     """Read a benchmark item list (one external id per line).
 
-    Ids not present in the graph's item map are skipped and counted;
-    an all-unknown or empty file is an error.
+    A line that names an item is that item, even one starting with `#`;
+    any other line starting with `#` is a comment, and blank lines are
+    ignored. Other ids not in the item map are skipped and counted; an
+    all-unknown or empty file is an error.
     """
     resolved: set[int] = set()
     skipped = 0
     with _open_text(source) as stream:
         for raw in stream:
             line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            idx = item_map.resolve(line)
-            if idx is None:
-                skipped += 1
-            else:
+            idx = item_map.resolve(line) if line else None
+            if idx is not None:
                 resolved.add(idx)
+            elif line and not line.startswith("#"):
+                skipped += 1
     return BenchmarkLoad(BenchmarkSet(frozenset(resolved)), skipped)

@@ -24,8 +24,8 @@ rr's penalty. Every ranker needs each user and item to carry a link
 Sums run over (node, class) pairs, the classes being a graph's distinct
 ratings: `_operators` builds (item, class) pairs x users and (user, class)
 pairs x items, 1 per link, a node's pairs in the order of their first
-links. The loop runs K columns, each a set of class values on one grouping
-of the links (a sweep's projections); each stops at its own convergence.
+links. The loop runs K columns, each a set of class values grouping the
+links alike (a `rank_projections` chunk); each stops at its own convergence.
 Each operation acts on each column alone (scipy's sparse products sum a
 column as a single-vector product does, and rows are summed C-ordered), so
 a column's result is exactly that of the K = 1 run `rank` makes.
@@ -35,14 +35,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from .graph import RatingGraph
+from .projection import ProjectionParams, project_classes
 
 ALGORITHMS = ("mean", "ir", "cr", "rr")
+CHUNK = 21      # most projections ranked at once, a default grid row
 
 
 @dataclass(frozen=True)
@@ -141,8 +143,8 @@ def _class_means(side, v, w):
 
 
 class _Columns:
-    """K sets of class values on one grouping of a graph's links, a column
-    each (a row of every K x n array), and what follows from them alone."""
+    """K sets of class values grouping a graph's links alike, a column each
+    (a row of every K x n array), and what follows from them alone."""
 
     def __init__(self, graph: RatingGraph, cells):
         self.graph, self.labels = graph, cells[0].labels
@@ -180,7 +182,7 @@ def _residual(q, q_prev):
 @np.errstate(over="ignore", invalid="ignore")
 def _fixed_point(cfg, graph, cells, trace=None, **kw) -> list:
     """The schedule shared by ir, cr and rr: a RankingResult per rating
-    classes in `cells`, each a column, all on one grouping of graph's links.
+    classes in `cells`, each a column, all grouping graph's links alike.
 
     Each iteration computes the qualities q weighted by the previous
     reputations, then calls step(q, rep), step = _STEPS[cfg.algorithm](cfg,
@@ -347,21 +349,27 @@ _STEPS = {"ir": _ir_step, "cr": _cr_step, "rr": _rr_step}
 
 
 def rank_projections(graph: RatingGraph, config: RankingConfig,
-                     cells) -> list[RankingResult]:
-    """rank on `graph` under each rating classes in `cells`, all on one
-    grouping of its links (`projection.project_classes`), as one K-column
-    fixed point. Each result equals rank() on the graph that carries those
-    ratings; cells on another grouping than the first raise ValueError."""
-    _require(all(c.cache is cells[0].cache for c in cells),
-             "rank_projections needs cells on one grouping of the links")
-    if not cells:
-        return []
-    if config.algorithm == "mean":
-        return [RankingResult(np.ones(graph.num_users), q.copy(), 1, True, 0.0)
-                for q in _Columns(graph, cells).plain]
-    return _fixed_point(config, graph, cells)
+                     params) -> Iterator[tuple[int, RankingResult]]:
+    """(index, rank(project_graph(graph, params[index]))) for each params,
+    bit for bit. Cells whose projections group the links alike run as one
+    K-column fixed point, CHUNK at a time; each chunk's results are yielded
+    as it finishes, so no more than one chunk's are alive at once."""
+    groups = {}
+    for i, p in enumerate(params):
+        classes = project_classes(graph.rating_classes, p)
+        groups.setdefault(id(classes.cache), []).append((i, classes))
+    for group in groups.values():
+        for s in range(0, len(group), CHUNK):
+            at, cells = zip(*group[s:s + CHUNK])
+            if config.algorithm == "mean":
+                results = [RankingResult(np.ones(graph.num_users), q.copy(),
+                                         1, True, 0.0)
+                           for q in _Columns(graph, cells).plain]
+            else:
+                results = _fixed_point(config, graph, cells)
+            yield from zip(at, results)
 
 
 def rank(graph: RatingGraph, config: RankingConfig) -> RankingResult:
     """Rank graph's items and users with config.algorithm."""
-    return rank_projections(graph, config, [graph.rating_classes])[0]
+    return next(rank_projections(graph, config, [ProjectionParams()]))[1]

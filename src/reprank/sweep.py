@@ -18,7 +18,7 @@ import numpy as np
 from .graph import BenchmarkSet, RatingGraph
 from .metrics import (ranking_score, reputation_error_correlation,
                       top_fraction_benchmark)
-from .projection import ProjectionParams, project_classes
+from .projection import ProjectionParams
 from .ranking import RankingConfig, rank_projections
 from .synth import SynthSpec, generate_network
 
@@ -27,7 +27,6 @@ METRICS = ("rs", "correlation")
 DEFAULT_GRID_STEP = 0.05
 DEFAULT_REALIZATIONS = 10
 DEFAULT_BENCHMARK_FRACTION = 0.05
-CHUNK = 21      # most projections ranked at once, a default grid row
 
 
 def grid_values(step: float = DEFAULT_GRID_STEP) -> tuple[float, ...]:
@@ -71,6 +70,10 @@ class RealSource:
     graph: RatingGraph
     benchmark: BenchmarkSet
     tag: str = "real"
+
+    def __post_init__(self):
+        if max(self.benchmark.item_indices) >= self.graph.num_items:
+            raise ValueError("benchmark item index out of range for the graph")
 
 
 @dataclass(frozen=True)
@@ -121,21 +124,14 @@ def _metric_value(result, metric, benchmark, truth):
 
 
 def _grid_for_graph(graph, config, cells, metric, benchmark, truth):
-    """Cells whose projections group the links alike are ranked together,
-    CHUNK at a time; each as rank(project_graph(graph, cell)) would."""
+    """Each cell's metric and convergence, as rank(project_graph(graph,
+    cell)) would give them; `rank_projections` batches the cells."""
     values = np.empty((len(cells), len(cells[0])))
     conv = np.empty_like(values, dtype=bool)
-    groups = {}
-    for at in np.ndindex(values.shape):
-        classes = project_classes(graph.rating_classes, cells[at[0]][at[1]])
-        groups.setdefault(id(classes.cache), []).append((at, classes))
-    for group in groups.values():
-        for s in range(0, len(group), CHUNK):
-            chunk = group[s:s + CHUNK]
-            results = rank_projections(graph, config, [c for _, c in chunk])
-            for (at, _), result in zip(chunk, results):
-                values[at] = _metric_value(result, metric, benchmark, truth)
-                conv[at] = result.converged
+    flat = [params for row in cells for params in row]
+    for i, result in rank_projections(graph, config, flat):
+        values.flat[i] = _metric_value(result, metric, benchmark, truth)
+        conv.flat[i] = result.converged
     return values, conv
 
 
@@ -187,8 +183,7 @@ def run_sweep(
         n_realizations = 1
         values, conv = _grid_for_graph(source.graph, config, cells, metric,
                                        source.benchmark, None)
-        stack = values[None]
-        conv_stack = conv[None]
+        stack, conv_stack = values[None], conv[None]
     else:
         if n_realizations is None:
             n_realizations = DEFAULT_REALIZATIONS
@@ -202,8 +197,7 @@ def run_sweep(
             with ProcessPoolExecutor(max_workers=min(threads,
                                                      n_realizations)) as pool:
                 results = list(pool.map(_synth_realization, *zip(*args)))
-        stack = np.stack([r[0] for r in results])
-        conv_stack = np.stack([r[1] for r in results])
+        stack, conv_stack = map(np.stack, zip(*results))
 
     return SweepGrid(
         p1_values=p1s,
@@ -230,13 +224,10 @@ def find_optimum(grid: SweepGrid) -> Optimum:
         score = grid.mean
     else:
         score = -np.abs(grid.mean)
-    best = None
-    for a, p1 in enumerate(grid.p1_values):
-        for b, p2 in enumerate(grid.p2_values):
-            key = (score[a, b], p2, p1)
-            if best is None or key < best[0]:
-                best = (key, Optimum(p1, p2, float(grid.mean[a, b])))
-    return best[1]
+    _, p2, p1, a, b = min((score[a, b], p2, p1, a, b)
+                          for a, p1 in enumerate(grid.p1_values)
+                          for b, p2 in enumerate(grid.p2_values))
+    return Optimum(p1, p2, float(grid.mean[a, b]))
 
 
 class TableRow(NamedTuple):

@@ -280,3 +280,12 @@ def test_load_benchmark():
     assert loaded.skipped == 1
     with pytest.raises(ValueError, match="empty benchmark"):
         load_benchmark(io.StringIO("unknown\n"), item_map)
+
+
+def test_load_benchmark_lists_items_whose_ids_start_with_a_hash():
+    item_map = IdMap.from_ids(["#top", "x"])
+    loaded = load_benchmark(io.StringIO("#top\n# note\nx\n"), item_map)
+    assert loaded.benchmark.item_indices == frozenset({0, 1})
+    assert loaded.skipped == 0
+    only = load_benchmark(io.StringIO(" #top \n"), item_map)
+    assert only.benchmark.item_indices == frozenset({0})

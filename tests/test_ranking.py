@@ -590,55 +590,52 @@ def test_spam_and_corner_graphs_rank_on_their_own_classes():
                                  rank(same_links(g, h.ratings), config))
                 assert (h.rating_classes.cache["operators"]
                         is not g.rating_classes.cache["operators"])
+            # the batched entry ranks the graph it is given, not g's classes
+            assert_identical(
+                dict(rank_projections(spam, config, [ProjectionParams()]))[0],
+                rank(same_links(g, spam.ratings), config))
             # a merged grouping of g's links holds no ones array of its own
+            list(rank_projections(g, config, [ProjectionParams(1.0, 0.0)]))
             merged = project_classes(g.rating_classes,
                                      ProjectionParams(1.0, 0.0))
-            rank_projections(g, config, [merged])
             for side in merged.cache["operators"]:
                 assert side.pairs.data is g.rating_classes.cache["ones"]
 
 
+PROBABILITY = st.sampled_from([0.0, 1.0]) | st.floats(0.01, 0.99)
+
+
 @settings(deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
-       algorithm=st.sampled_from(["ir", "cr", "rr"]),
-       corner=st.sampled_from([None, (0.0, None), (None, 1.0)]),
-       params=st.lists(st.tuples(st.floats(0.01, 0.99), st.floats(0.01, 0.99)),
+       algorithm=st.sampled_from(ALGORITHMS),
+       params=st.lists(st.tuples(PROBABILITY, PROBABILITY),
                        min_size=1, max_size=6))
-@example(seed=0, algorithm="rr", corner=None,    # rr's row sums: C-ordered
+@example(seed=0, algorithm="rr",    # rr's row sums: C-ordered
          params=[(0.5, 0.5), (0.5, 0.5)])
-def test_columns_equal_separate_rank_calls(seed, algorithm, corner, params):
-    # K projections on one grouping of the links ranked as K columns give
-    # exactly K separate rank calls, columns that stop at other iterations
-    # (or at the cap) included; corner=(0.0, None) fixes p1 = 0, a merge
+# (0, 1) and (1, 0) both merge the classes to [1, 3, 5], on other labels:
+# the second cell must not rank on the first's operators (mean and cr once
+# did, 1.0 and 2.0 off on this graph)
+@example(seed=35, algorithm="mean", params=[(0.0, 1.0), (1.0, 0.0)])
+@example(seed=35, algorithm="cr", params=[(0.0, 1.0), (1.0, 0.0)])
+def test_columns_equal_separate_rank_calls(seed, algorithm, params):
+    # projections ranked in one call give exactly separate rank calls,
+    # whether they share a grouping of the links (K columns, stopping at
+    # other iterations or at the cap) or merge classes into other groupings
     g = random_bipartite(np.random.default_rng(seed))
     config = RankingConfig(algorithm=algorithm, delta=1e-12,
                            max_iterations=40)
-    cells = [ProjectionParams(*(c if c is not None else p for c, p
-                                in zip(corner or (None, None), pair)))
-             for pair in params]
-    classes = [project_classes(g.rating_classes, p) for p in cells]
-    assert len({id(c.cache) for c in classes}) == 1
-    for p, got in zip(cells, rank_projections(g, config, classes)):
-        assert_identical(got, rank(project_graph(g, p), config))
-
-
-@pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_projections_on_two_groupings_are_rejected(algorithm):
-    # (0, 1) and (1, 0) both merge the classes to the values [1, 3, 5], on
-    # other labels: the second cell must not rank on the first's operators
-    # (mean and cr did, 1.0 and 2.0 off on this graph)
-    g = random_bipartite(np.random.default_rng(35))
-    cells = [project_classes(g.rating_classes, ProjectionParams(*p))
-             for p in ((0.0, 1.0), (1.0, 0.0))]
-    assert cells[0].values.tolist() == cells[1].values.tolist()
-    with pytest.raises(ValueError, match="one grouping"):
-        rank_projections(g, RankingConfig(algorithm=algorithm), cells)
+    cells = [ProjectionParams(*pair) for pair in params]
+    results = dict(rank_projections(g, config, cells))
+    assert sorted(results) == list(range(len(cells)))
+    for i, p in enumerate(cells):
+        assert_identical(results[i], rank(project_graph(g, p), config))
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_no_projections_rank_to_no_results(algorithm):
     g = random_bipartite(np.random.default_rng(36))
-    assert rank_projections(g, RankingConfig(algorithm=algorithm), []) == []
+    assert list(rank_projections(g, RankingConfig(algorithm=algorithm),
+                                 [])) == []
 
 
 @pytest.mark.parametrize("algorithm", ["ir", "cr", "rr"])
@@ -648,11 +645,32 @@ def test_columns_stop_at_their_own_iterations(algorithm):
                            max_iterations=40)
     cells = [ProjectionParams(p1, p2) for p1 in (0.1, 0.5, 0.9)
              for p2 in (0.2, 0.7)]
-    results = rank_projections(
-        g, config, [project_classes(g.rating_classes, p) for p in cells])
-    assert len({r.iterations_used for r in results}) > 1
-    for p, got in zip(cells, results):
-        assert_identical(got, rank(project_graph(g, p), config))
+    results = dict(rank_projections(g, config, cells))
+    assert len({r.iterations_used for r in results.values()}) > 1
+    for i, p in enumerate(cells):
+        assert_identical(results[i], rank(project_graph(g, p), config))
+
+
+def test_projections_are_yielded_a_chunk_at_a_time(monkeypatch):
+    # a chunk's results leave before the next chunk runs, so a sweep holds
+    # at most CHUNK results at once: 23 cells on one grouping run as 21 and
+    # 2 columns, and a merging corner cell on its own grouping after them
+    ks, fixed_point = [], ranking._fixed_point
+
+    def recording(cfg, graph, cells):
+        ks.append(len(cells))
+        return fixed_point(cfg, graph, cells)
+
+    monkeypatch.setattr(ranking, "_fixed_point", recording)
+    g = random_bipartite(np.random.default_rng(37))
+    assert set(g.ratings) == {1.0, 2.0, 3.0, 4.0, 5.0}
+    cells = [ProjectionParams(0.02 + 0.04 * i, 0.3) for i in range(23)]
+    results = rank_projections(g, RankingConfig(algorithm="cr"),
+                               cells + [ProjectionParams(1.0, 0.0)])
+    assert next(results)[0] == 0
+    assert len(ks) == 1 and ks[0] <= ranking.CHUNK
+    assert [i for i, _ in results] == list(range(1, 24))
+    assert ks == [21, 2, 1]
 
 
 # ------------------------------------------- raw moments, exact fallback

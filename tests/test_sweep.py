@@ -102,6 +102,13 @@ def hand_real_source():
     return RealSource(g, BenchmarkSet(frozenset({0})))
 
 
+def test_real_source_checks_its_benchmark_against_its_graph():
+    g = hand_real_source().graph
+    RealSource(g, BenchmarkSet(frozenset({g.num_items - 1})))
+    with pytest.raises(ValueError, match="out of range"):
+        RealSource(g, BenchmarkSet(frozenset({0, g.num_items})))
+
+
 def test_run_sweep_real_source():
     src = hand_real_source()
     grid = run_sweep(src, CR, p1_values=(0.5,), p2_values=(0.5,),
