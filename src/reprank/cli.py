@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import (FORMATS, GENERIC_CSV, BenchmarkSet, IdMap,
+from .graph import (FORMATS, GENERIC_CSV, BenchmarkSet, IdMap, _open_text,
                     ingest_ratings, load_benchmark, write_ratings_csv)
 from .metrics import (quality_ranks, ranking_score,
                       reputation_error_correlation, top_fraction_benchmark)
@@ -288,7 +288,7 @@ def cmd_sweep(args) -> int:
 def _read_sweep_csv(path: Path) -> SweepGrid:
     meta = None
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         for raw in fh:
             line = raw.strip()
             match = _SWEEP_META.fullmatch(line)

@@ -224,10 +224,11 @@ class BenchmarkLoad(NamedTuple):
 
 @contextmanager
 def _open_text(source: str | Path | TextIO, mode: str = "r"):
-    """Opens a path as UTF-8 text, or passes an open stream through
-    without closing it."""
+    """Opens a path as UTF-8 text, read past a leading byte-order mark and
+    written without one, or passes an open stream through unclosed."""
     if isinstance(source, (str, Path)):
-        with open(source, mode, encoding="utf-8") as stream:
+        encoding = "utf-8-sig" if mode == "r" else "utf-8"
+        with open(source, mode, encoding=encoding) as stream:
             yield stream
     else:
         yield source
@@ -256,9 +257,9 @@ def ingest_ratings(source: str | Path | TextIO, fmt: str = GENERIC_CSV) -> Inges
     header, `#` comment lines skipped) and "movielens"
     (`UserID::MovieID::Rating::Timestamp`, timestamp ignored).
 
-    External ids are opaque strings mapped to dense indices in order of
-    first appearance. A file without rating records, duplicate (user, item)
-    records and ratings outside [1, 5] are errors.
+    External ids are opaque non-empty strings mapped to dense indices in
+    order of first appearance. A file without rating records, an empty id,
+    duplicate (user, item) records and ratings outside [1, 5] are errors.
     """
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
@@ -270,13 +271,13 @@ def ingest_ratings(source: str | Path | TextIO, fmt: str = GENERIC_CSV) -> Inges
     ratings: list[float] = []
 
     with _open_text(source) as stream:
-        first = True
-        for lineno, uid, iid, rtext in _iter_records(stream, fmt):
-            if first and fmt == GENERIC_CSV:
-                first = False
-                if (uid.lower(), iid.lower(), rtext.lower()) == _CSV_HEADER:
-                    continue
-            first = False
+        records = enumerate(_iter_records(stream, fmt))
+        for n, (lineno, uid, iid, rtext) in records:
+            if n == 0 and fmt == GENERIC_CSV and (
+                    (uid.lower(), iid.lower(), rtext.lower()) == _CSV_HEADER):
+                continue
+            if not (uid and iid):
+                raise IngestError(f"empty {'item' if uid else 'user'} id", lineno)
             try:
                 rating = float(rtext)
             except ValueError:
@@ -317,12 +318,12 @@ def write_ratings_csv(
     """Serialize a graph in the generic CSV format; re-ingesting reproduces it.
 
     Without id maps, dense indices are written as the external ids. An id
-    the reader would not read back as itself (with a comma, line break or
-    surrounding whitespace, or a user id starting with `#`) is an error.
+    the reader would not read back as itself (empty, with a comma, line
+    break or surrounding whitespace, or a user id led by `#`) is an error.
     """
     for id_map in (user_map, item_map):
         for ext in id_map.ids if id_map else ():
-            if (any(c in ext for c in ",\n\r") or ext != ext.strip()
+            if (not ext or any(c in ext for c in ",\n\r") or ext != ext.strip()
                     or (id_map is user_map and ext.startswith("#"))):
                 raise ValueError(f"external id {ext!r} cannot be written "
                                  "to a ratings CSV")

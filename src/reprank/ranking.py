@@ -13,13 +13,14 @@ Four methods share one synchronous fixed-point schedule:
 ir, cr and rr share one loop, `_fixed_point`. Each iteration weights the
 ratings by the previous reputations into item qualities (an item whose
 raters all carry zero reputation keeps its plain mean), then calls the
-algorithm's step(q, rep) -> (q, rep), which may adjust the qualities (rr's
-penalty) and returns the new reputations. Iteration stops when the mean
-squared change of the quality vector drops below delta; a step that yields
-a non-finite quality or reputation is an error. An item whose
-positive-reputation raters all gave rating r has quality exactly r before
-rr's penalty. Every ranker needs each user and item to carry a link
-(`_operators` raises ValueError otherwise).
+algorithm's step(cfg, cols, q, rep) -> (q, rep) on the running columns'
+`_Columns` cols: it may adjust the qualities (rr's penalty) and returns
+the new reputations. Iteration stops when the mean squared change of the
+quality vector drops below delta; a step that yields a non-finite quality
+or reputation is an error. An item whose positive-reputation raters all
+gave rating r has quality exactly r before rr's penalty. Every ranker
+needs each user and item to carry a link (`_operators` raises ValueError
+otherwise).
 
 Sums run over (node, class) pairs, the classes being a graph's distinct
 ratings: `_operators` builds (item, class) pairs x users and (user, class)
@@ -155,15 +156,28 @@ class _Columns:
             items.count[:, None], self.vi.shape))[0]
 
     @cached_property
+    def vu(self):                                       # user pairs x K
+        return self.values[:, self.users.cls].T
+
+    @cached_property
+    def nv2(self):                              # ir's Σ n·v², K x users
+        users = self.users
+        return (users.nodes @ (users.count[:, None] * self.vu * self.vu)).T
+
+    @cached_property
     def rating_side(self):
         """The Pearson's rating side, built on first use (by cr and rr): r̄,
         the centred class values (pairs x K), ss_r and the spread test."""
         users, n = self.users, self.users.count[:, None]
-        vu = self.values[:, users.cls].T
-        rbar = (users.nodes @ (n * vu)).T / self.graph.user_degrees
-        dv = vu - rbar.T[users.node]
+        rbar = (users.nodes @ (n * self.vu)).T / self.graph.user_degrees
+        dv = self.vu - rbar.T[users.node]
         return (rbar, dv, (users.nodes @ (n * dv ** 2)).T,
                 np.diff(users.nodes.indptr) > 1)
+
+    @cached_property
+    def damping(self):                  # rr's, per user: log k / max log k
+        logk = np.log10(self.graph.user_degrees.astype(np.float64))
+        return logk / logk.max() if logk.max() > 0 else np.zeros_like(logk)
 
 
 def _weighted_quality(cols, rep):
@@ -185,31 +199,30 @@ def _fixed_point(cfg, graph, cells, trace=None, **kw) -> list:
     classes in `cells`, each a column, all grouping graph's links alike.
 
     Each iteration computes the qualities q weighted by the previous
-    reputations, then calls step(q, rep), step = _STEPS[cfg.algorithm](cfg,
-    _Columns still running, **kw), for this iteration's (qualities,
-    reputations). A non-finite value among them, such as an overflowing ir
-    power, raises ValueError naming the algorithm and the iteration; numpy's
-    overflow and invalid warnings are off, as that check reports what they
-    would. A column stops once the residual between its consecutive
-    qualities drops below cfg.delta, or after cfg.max_iterations; with a
-    single iteration the residual is unknown (inf). `trace`, if given,
-    collects the first column's (qualities, reputations) copies.
+    reputations, then takes its (qualities, reputations) from the step
+    _STEPS[cfg.algorithm](cfg, cols, q, rep, **kw), cols the live columns. A
+    non-finite value among them, such as an overflowing ir power, raises
+    ValueError naming the algorithm and the iteration; numpy's overflow and
+    invalid warnings are off, as that check reports what they would. A
+    column stops once the residual between its consecutive qualities drops
+    below cfg.delta, or after cfg.max_iterations, and the rest run on a
+    rebuilt _Columns; with a single iteration the residual is unknown (inf),
+    so no column stops there alone. `trace`, if given, collects the first
+    column's (qualities, reputations) copies.
     """
     name, K = cfg.algorithm, len(cells)
-    out, live, res = [None] * K, np.arange(K), np.full(K, np.inf)
-    cols = _Columns(graph, cells)       # checks the coverage
-    step = _STEPS[name](cfg, cols, **kw)
+    out, live = [None] * K, np.arange(K)
+    cols, step = _Columns(graph, cells), _STEPS[name]   # checks the coverage
     rep = np.tile(np.ones(graph.num_users) if name == "ir"
                   else graph.user_degrees / graph.num_items, (K, 1))
     for iterations in range(1, cfg.max_iterations + 1):
-        q, rep = step(_weighted_quality(cols, rep), rep)
+        q, rep = step(cfg, cols, _weighted_quality(cols, rep), rep, **kw)
         if not (np.isfinite(q).all() and np.isfinite(rep).all()):
             raise ValueError(f"{name} iteration {iterations} gave a "
                              "non-finite quality or reputation")
         if trace is not None:
             trace.append((q[0].copy(), rep[0].copy()))
-        if iterations > 1:
-            res = _residual(q, q_prev)
+        res = _residual(q, q_prev) if iterations > 1 else np.full(K, np.inf)
         conv = res < cfg.delta
         end = conv | (iterations == cfg.max_iterations)
         for j in np.flatnonzero(end):
@@ -219,9 +232,8 @@ def _fixed_point(cfg, graph, cells, trace=None, **kw) -> list:
         if end.all():
             return out
         if end.any():
-            live, q, rep, res = (a[~end] for a in (live, q, rep, res))
+            live, q, rep = (a[~end] for a in (live, q, rep))
             cols = _Columns(graph, [cells[j] for j in live])
-            step = _STEPS[name](cfg, cols, **kw)
         q_prev = q
 
 
@@ -243,22 +255,16 @@ def _user_links(cols, q, col, u):
     return cols.values[cc, cols.labels[at]], q[cc, graph.items[at]], L
 
 
-def _ir_step(cfg, cols):
+def _ir_step(cfg, cols, q, rep):
     """ir's error per user, Σ(r - q)² = Σ n·v² - 2·Σ v·Σq + Σq² per pair;
-    users where that is at most 1e-2·Σr² take the exact path's link sum."""
-    users, vu = cols.users, cols.values[:, cols.users.cls].T
-    ss_r = (users.nodes @ (users.count[:, None] * vu * vu)).T
-
-    def step(q, _):
-        t, s2 = _user_sums(cols, q)
-        err = ss_r - 2 * (users.nodes @ (vu * t)).T + s2
-        col, u = np.nonzero(err <= 1e-2 * ss_r)
-        if u.size:
-            r, rq, L = _user_links(cols, q, col, u)
-            err[col, u] = L @ ((r - rq) ** 2)
-        return q, (err / cols.graph.user_degrees + cfg.epsilon) ** (-cfg.beta)
-
-    return step
+    users where that is at most 1e-2·Σ n·v² take the exact path's link sum."""
+    t, s2 = _user_sums(cols, q)
+    err = cols.nv2 - 2 * (cols.users.nodes @ (cols.vu * t)).T + s2
+    col, u = np.nonzero(err <= 1e-2 * cols.nv2)
+    if u.size:
+        r, rq, L = _user_links(cols, q, col, u)
+        err[col, u] = L @ ((r - rq) ** 2)
+    return q, (err / cols.graph.user_degrees + cfg.epsilon) ** (-cfg.beta)
 
 
 def _pearson(cols, q):
@@ -298,14 +304,14 @@ def _pearson(cols, q):
     return np.clip(out, -1.0, 1.0, out=out)
 
 
-def _cr_step(cfg, cols):
+def _cr_step(cfg, cols, q, rep):
     """Kept as its own step rather than rr's with its switches off, so the
     claimed degeneracy (rr with both factors off and theta 1) stays a
     cross-check between two code paths."""
-    return lambda q, _: (q, np.maximum(_pearson(cols, q), 0.0))
+    return q, np.maximum(_pearson(cols, q), 0.0)
 
 
-def _rr_step(cfg, cols, use_penalty=True, use_damping=True):
+def _rr_step(cfg, cols, q, rep, use_penalty=True, use_damping=True):
     """rr's step; its trust is C-ordered, so a row sums as a lone vector.
 
     Quality is the reputation-weighted mean scaled by the penalty factor
@@ -318,31 +324,22 @@ def _rr_step(cfg, cols, use_penalty=True, use_damping=True):
     redistributed through the power theta. The switches exist only to
     exercise the degenerate path: both off, theta 1 reproduces cr.
     """
-    graph = cols.graph
-    damping = np.ones(graph.num_users)
-    if use_damping:
-        logk = np.log10(graph.user_degrees.astype(np.float64))
-        top = logk.max()
-        damping = logk / top if top > 0 else np.zeros_like(logk)
-    raters = cols.items.pairs.indices           # each item's, pair by pair
-    starts = cols.items.pairs.indptr[cols.items.nodes.indptr[:-1]]
-
-    def step(q, rep):
-        if use_penalty:
-            # a column at a time, as a K x links gather is large; scaled only
-            # where the weighted mean applied: reputations are non-negative, so
-            # a zero top rater means zero weight, so the plain mean stands
-            penalty = np.array([np.maximum.reduceat(r.take(raters), starts)
-                                for r in rep])
-            pos = penalty > 0
-            q[pos] *= np.minimum(penalty[pos], 1.0)
-        trust = np.maximum(_pearson(cols, q), 0.0, order="C") * damping
-        powered = trust ** cfg.theta
-        mass = powered.sum(axis=1, keepdims=True)
-        return q, powered * np.divide(trust.sum(axis=1, keepdims=True), mass,
-                                      out=np.zeros_like(mass), where=mass > 0)
-
-    return step
+    if use_penalty:
+        # a column at a time, as a K x links gather is large; scaled only
+        # where the weighted mean applied: reputations are non-negative, so
+        # a zero top rater means zero weight, so the plain mean stands
+        raters = cols.items.pairs.indices       # each item's, pair by pair
+        starts = cols.items.pairs.indptr[cols.items.nodes.indptr[:-1]]
+        penalty = np.array([np.maximum.reduceat(r.take(raters), starts)
+                            for r in rep])
+        pos = penalty > 0
+        q[pos] *= np.minimum(penalty[pos], 1.0)
+    trust = (np.maximum(_pearson(cols, q), 0.0, order="C")
+             * (cols.damping if use_damping else 1.0))
+    powered = trust ** cfg.theta
+    mass = powered.sum(axis=1, keepdims=True)
+    return q, powered * np.divide(trust.sum(axis=1, keepdims=True), mass,
+                                  out=np.zeros_like(mass), where=mass > 0)
 
 
 _STEPS = {"ir": _ir_step, "cr": _cr_step, "rr": _rr_step}

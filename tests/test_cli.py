@@ -331,6 +331,18 @@ def test_table_command(tmp_path, capsys):
         assert float(r[3]) <= float(r[2])  # projected <= original
 
 
+def test_table_reads_past_a_byte_order_mark(tmp_path, capsys):
+    plain = sweep_file(tmp_path, "plain", "--fix-p1", "0.5")
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    tables = []
+    for sweep in (plain, bom):
+        out = tmp_path / f"table_{sweep.stem}.csv"
+        assert main(["table", "--sweeps", str(sweep), "--out", str(out)]) == 0
+        tables.append(data_lines(out))
+    assert tables[0] == tables[1]
+
+
 def real_sweep(tmp_path, filename):
     """Runs a small cr sweep on a copy of a synthetic ratings file named
     `filename`, so the sweep's tag is the file name's stem."""

@@ -188,10 +188,35 @@ def test_ingest_errors_carry_line_numbers():
         ingest_ratings(io.StringIO("a,b,6\n"))
     with pytest.raises(IngestError, match="line 1: expected user_id"):
         ingest_ratings(io.StringIO("a,b\n"))
+    # a header is skipped only as the first record
+    with pytest.raises(IngestError, match="line 2: malformed rating 'rating'"):
+        ingest_ratings(io.StringIO("a,b,3\nuser_id,item_id,rating\n"))
     with pytest.raises(IngestError, match=r"duplicate.*'alice'.*'apple'"):
         ingest_ratings(io.StringIO("alice,apple,3\nbob,apple,4\nalice,apple,5\n"))
     with pytest.raises(ValueError, match="unknown format"):
         ingest_ratings(io.StringIO(""), fmt="tsv")
+
+
+def test_ingest_rejects_empty_ids():
+    for text, fmt, message in (
+            ("u,,4\nu,b,3\nv,b,2\n", "csv", "line 1: empty item id"),
+            ("# c\n,a,4\n", "csv", "line 2: empty user id"),
+            ("u,a,4\n , ,3\n", "csv", "line 2: empty user id"),
+            ("::10::5::0\n", MOVIELENS, "line 1: empty user id"),
+            ("1:: ::5::0\n", MOVIELENS, "line 1: empty item id")):
+        with pytest.raises(IngestError, match=message):
+            ingest_ratings(io.StringIO(text), fmt=fmt)
+
+
+def test_ingest_reads_past_a_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.csv"
+    for text in (CSV, "1,a,4\n2,a,3\n"):
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        expected = ingest_ratings(io.StringIO(text))
+        got = ingest_ratings(path)
+        assert got.graph.equals(expected.graph)
+        assert got.user_map.ids == expected.user_map.ids
+        assert got.item_map.ids == expected.item_map.ids
 
 
 def test_ingest_rejects_input_without_ratings():
@@ -229,7 +254,7 @@ def test_csv_round_trip(tmp_path):
     g, users, items = ingest_ratings(io.StringIO(CSV))
     out = tmp_path / "ratings.csv"
     write_ratings_csv(g, out, users, items)
-    assert out.read_text().startswith("user_id,item_id,rating\n")
+    assert out.read_bytes().startswith(b"user_id,item_id,rating\n")
     g2, users2, items2 = ingest_ratings(out)
     assert g.equals(g2)
     assert users2.ids == users.ids and items2.ids == items.ids
@@ -246,7 +271,7 @@ def test_write_rejects_ids_that_do_not_read_back():
     g = RatingGraph.build(1, 1, [0], [0], [3])
     for users, items in ((["a,b"], ["1"]), (["u"], ["1,2"]), ([" u"], ["1"]),
                          (["u"], ["1 "]), (["#u"], ["1"]), (["a\nb"], ["1"]),
-                         (["u"], ["1\r2"])):
+                         (["u"], ["1\r2"]), ([""], ["1"]), (["u"], [""])):
         with pytest.raises(ValueError, match="cannot be written"):
             write_ratings_csv(g, io.StringIO(), IdMap.from_ids(users),
                               IdMap.from_ids(items))
@@ -280,6 +305,14 @@ def test_load_benchmark():
     assert loaded.skipped == 1
     with pytest.raises(ValueError, match="empty benchmark"):
         load_benchmark(io.StringIO("unknown\n"), item_map)
+
+
+def test_load_benchmark_reads_past_a_byte_order_mark(tmp_path):
+    path = tmp_path / "bench.txt"
+    path.write_bytes(b"\xef\xbb\xbfa\n")
+    loaded = load_benchmark(path, IdMap.from_ids(["a", "b"]))
+    assert loaded.benchmark.item_indices == frozenset({0})
+    assert loaded.skipped == 0
 
 
 def test_load_benchmark_lists_items_whose_ids_start_with_a_hash():

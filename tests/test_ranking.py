@@ -673,6 +673,27 @@ def test_projections_are_yielded_a_chunk_at_a_time(monkeypatch):
     assert ks == [21, 2, 1]
 
 
+@pytest.mark.parametrize("algorithm, built", [
+    ("mean", set()), ("ir", {"vu", "nv2"}), ("cr", {"vu", "rating_side"}),
+    ("rr", {"vu", "rating_side", "damping"})])
+def test_columns_build_only_what_their_ranker_reads(monkeypatch, algorithm,
+                                                    built):
+    # the per-column constants a step reads are built on first use: mean
+    # builds none of them, and ir none of the Pearson's rating side
+    made = []
+
+    class Recording(ranking._Columns):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(ranking, "_Columns", Recording)
+    rank(random_bipartite(np.random.default_rng(38)),
+         RankingConfig(algorithm=algorithm))
+    lazy = {"vu", "nv2", "rating_side", "damping"}
+    assert len(made) == 1 and lazy & set(vars(made[0])) == built
+
+
 # ------------------------------------------- raw moments, exact fallback
 
 RR_READING = dict(theta=5.0, delta=1e-8, max_iterations=200)

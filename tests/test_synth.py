@@ -314,6 +314,16 @@ def test_truth_round_trip_on_disk(tmp_path):
     write_truth(t, path)
     back = read_truth(path)
     assert np.array_equal(back.intrinsic_quality, t.intrinsic_quality)
+    assert path.read_bytes().startswith(b"{")   # written without a BOM
+
+
+def test_read_truth_reads_past_a_byte_order_mark(tmp_path):
+    path = tmp_path / "truth.json"
+    path.write_bytes(b"\xef\xbb\xbf" + json.dumps(
+        {"intrinsic_quality": [2.5], "error_magnitude": [0.5]}).encode())
+    back = read_truth(path)
+    assert back.intrinsic_quality.tolist() == [2.5]
+    assert back.error_magnitude.tolist() == [0.5]
 
 
 def test_read_truth_errors():
