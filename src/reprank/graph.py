@@ -9,9 +9,10 @@ over the item index of each link.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, TextIO
 
@@ -162,7 +163,9 @@ class RatingGraph:
 
 
 def _check_rating_bounds(ratings: np.ndarray) -> None:
-    if ratings.size and (ratings.min() < RATING_MIN or ratings.max() > RATING_MAX):
+    # NaN fails both comparisons, as min() and max() propagate it
+    if ratings.size and not (RATING_MIN <= ratings.min()
+                             and ratings.max() <= RATING_MAX):
         raise ValueError(f"rating out of bounds [{RATING_MIN:g}, {RATING_MAX:g}]")
 
 
@@ -224,14 +227,13 @@ class BenchmarkLoad(NamedTuple):
 
 @contextmanager
 def _open_text(source: str | Path | TextIO, mode: str = "r"):
-    """Opens a path as UTF-8 text, read past a leading byte-order mark and
-    written without one, or passes an open stream through unclosed."""
-    if isinstance(source, (str, Path)):
-        encoding = "utf-8-sig" if mode == "r" else "utf-8"
-        with open(source, mode, encoding=encoding) as stream:
-            yield stream
-    else:
-        yield source
+    """Opens a path as UTF-8 text, written without a byte-order mark, or
+    passes an open stream through unclosed. Read, either yields its lines
+    past one leading byte-order mark."""
+    with (open(source, mode, encoding="utf-8")
+          if isinstance(source, (str, Path)) else nullcontext(source)) as stream:
+        yield stream if mode != "r" else chain(
+            [stream.readline().removeprefix("\ufeff")], stream)
 
 
 def _iter_records(stream: TextIO, fmt: str) -> Iterator[tuple[int, str, str, str]]:

@@ -51,6 +51,9 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+                   for n in (self.num_users, self.num_items, self.num_links)):
+            raise ValueError("num_users, num_items and num_links must be integers")
         if self.num_users < 1 or self.num_items < 1:
             raise ValueError("need at least one user and one item")
         if not 0 <= self.num_links <= self.num_users * self.num_items:
@@ -106,14 +109,21 @@ def generate_topology(
     doubles (user, item) per attempt from consecutive
     rng.random(_URN_CHUNK) blocks, the rest of the last block discarded;
     0 links and the complete graph draw nothing.
+
+    Duplicates are found on a bitmap of one bit per possible pair (3 MiB
+    at paper scale), or on a set of the links' keys (about 64 bytes per
+    link) where num_users * num_items > 512 * num_links, so the check
+    takes at most about 64 bytes per link; the links are the same either way.
     """
-    n_u, n_i, n_l = spec.num_users, spec.num_items, spec.num_links
+    n_u, n_i, n_l = map(int, (spec.num_users, spec.num_items, spec.num_links))
     if n_l == n_u * n_i:
         return (np.repeat(np.arange(n_u), n_i),
                 np.tile(np.arange(n_i), n_u))
 
     user_urn = list(range(n_u))
     item_urn = list(range(n_i))
+    dense = n_u * n_i <= 512 * n_l
+    bits = bytearray((n_u * n_i + 7) >> 3 if dense else 0)
     seen: set[int] = set()
     see, add_u, add_i = seen.add, user_urn.append, item_urn.append
     ulen, ilen, stop = n_u, n_i, n_u + n_l
@@ -124,9 +134,15 @@ def generate_topology(
             u = user_urn[x if x < ulen else ulen - 1]
             i = item_urn[y if y < ilen else ilen - 1]
             key = u * n_i + i
-            if key in seen:
+            if dense:
+                b, m = key >> 3, 1 << (key & 7)
+                if bits[b] & m:
+                    continue
+                bits[b] |= m
+            elif key in seen:
                 continue
-            see(key)
+            else:
+                see(key)
             add_u(u)
             add_i(i)
             ulen += 1
@@ -259,7 +275,7 @@ def write_truth(truth: SynthTruth, dest: str | Path | TextIO) -> None:
 
 def read_truth(source: str | Path | TextIO) -> SynthTruth:
     with _open_text(source) as fh:
-        text = fh.read()
+        text = "".join(fh)
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -53,6 +53,8 @@ def test_build_rejects_bad_input():
         RatingGraph.build(2, 2, [0], [5], [3])
     with pytest.raises(ValueError, match="out of bounds"):
         RatingGraph.build(2, 2, [0], [0], [5.5])
+    with pytest.raises(ValueError, match="out of bounds"):
+        RatingGraph.build(2, 2, [0, 1], [0, 1], [np.nan, 3.0])
     with pytest.raises(ValueError, match="negative node count"):
         RatingGraph.build(-1, 2, [], [], [])
     with pytest.raises(ValueError, match=r"duplicate \(user, item\) pair: \(1, 0\)"):
@@ -127,6 +129,8 @@ def test_with_ratings():
         g.with_ratings([1.0, 2.0])
     with pytest.raises(ValueError, match="out of bounds"):
         g.with_ratings(np.full(7, 0.5))
+    with pytest.raises(ValueError, match="out of bounds"):
+        g.with_ratings(np.r_[np.full(6, 3.0), np.nan])
 
 
 def test_equals():
@@ -213,10 +217,11 @@ def test_ingest_reads_past_a_byte_order_mark(tmp_path):
     for text in (CSV, "1,a,4\n2,a,3\n"):
         path.write_bytes(b"\xef\xbb\xbf" + text.encode())
         expected = ingest_ratings(io.StringIO(text))
-        got = ingest_ratings(path)
-        assert got.graph.equals(expected.graph)
-        assert got.user_map.ids == expected.user_map.ids
-        assert got.item_map.ids == expected.item_map.ids
+        for got in (ingest_ratings(path),
+                    ingest_ratings(io.StringIO("\ufeff" + text))):
+            assert got.graph.equals(expected.graph)
+            assert got.user_map.ids == expected.user_map.ids
+            assert got.item_map.ids == expected.item_map.ids
 
 
 def test_ingest_rejects_input_without_ratings():
@@ -310,9 +315,10 @@ def test_load_benchmark():
 def test_load_benchmark_reads_past_a_byte_order_mark(tmp_path):
     path = tmp_path / "bench.txt"
     path.write_bytes(b"\xef\xbb\xbfa\n")
-    loaded = load_benchmark(path, IdMap.from_ids(["a", "b"]))
-    assert loaded.benchmark.item_indices == frozenset({0})
-    assert loaded.skipped == 0
+    for source in (path, io.StringIO("\ufeffa\n")):
+        loaded = load_benchmark(source, IdMap.from_ids(["a", "b"]))
+        assert loaded.benchmark.item_indices == frozenset({0})
+        assert loaded.skipped == 0
 
 
 def test_load_benchmark_lists_items_whose_ids_start_with_a_hash():

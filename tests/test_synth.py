@@ -1,5 +1,7 @@
+import hashlib
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +24,11 @@ def test_spec_validation():
         SynthSpec(case=5)
     with pytest.raises(ValueError):
         SynthSpec(spam_fraction=1.5)
+    for sizes in ((10, 10, 10.5), (10, 10, True), (10.0, 10, 10),
+                  (10, np.float64(10), 10), (np.bool_(True), 1, 1)):
+        with pytest.raises(ValueError, match="must be integers"):
+            SynthSpec(*sizes)
+    SynthSpec(np.int64(10), np.int32(10), np.uint16(10))
 
 
 def test_truth_validation():
@@ -69,6 +76,9 @@ TOPOLOGY_CASES = [
     ((1, 1, 1), 5),              # complete graphs draw nothing
     ((6, 4, 24), 6),
     ((5, 3, 0), 7),              # nor does the empty one
+    ((2000, 2000, 3000), 8),     # sparse: a set, not a bitmap, holds the keys
+    ((512, 100, 100), 9),        # 512 pairs per link: still a bitmap
+    ((513, 100, 100), 10),       # just over: a set
 ]
 
 
@@ -81,6 +91,26 @@ def test_topology_matches_oracle(shape, seed):
     assert users.tolist() == ref_users and items.tolist() == ref_items
     # same draws consumed, the rest of the last block included
     assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("shape", [(1000, 800, 100_000), (20000, 20000, 100)])
+def test_topology_duplicate_check_memory(shape):
+    # a set of 100k keys peaks at 15 MiB here, a bitmap of 20000 x 20000
+    # pairs takes 48 MiB
+    tracemalloc.start()
+    try:
+        generate_topology(SynthSpec(*shape), np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+
+
+def test_paper_scale_network_is_pinned():
+    g, _ = generate_network(SynthSpec(seed=1))
+    digest = hashlib.sha1(g.users.tobytes() + g.items.tobytes()
+                          + g.ratings.tobytes()).hexdigest()
+    assert digest == "0330c7dea3f061d580cda3ceb271c501e05a533d"
 
 
 def test_topology_is_heavy_tailed():
@@ -319,11 +349,11 @@ def test_truth_round_trip_on_disk(tmp_path):
 
 def test_read_truth_reads_past_a_byte_order_mark(tmp_path):
     path = tmp_path / "truth.json"
-    path.write_bytes(b"\xef\xbb\xbf" + json.dumps(
-        {"intrinsic_quality": [2.5], "error_magnitude": [0.5]}).encode())
-    back = read_truth(path)
-    assert back.intrinsic_quality.tolist() == [2.5]
-    assert back.error_magnitude.tolist() == [0.5]
+    text = json.dumps({"intrinsic_quality": [2.5], "error_magnitude": [0.5]})
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    for back in (read_truth(path), read_truth(io.StringIO("\ufeff" + text))):
+        assert back.intrinsic_quality.tolist() == [2.5]
+        assert back.error_magnitude.tolist() == [0.5]
 
 
 def test_read_truth_errors():
