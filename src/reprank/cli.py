@@ -25,8 +25,8 @@ from .graph import (FORMATS, GENERIC_CSV, BenchmarkSet, IdMap, _open_text,
                     ingest_ratings, load_benchmark, write_ratings_csv)
 from .metrics import (quality_ranks, ranking_score,
                       reputation_error_correlation, top_fraction_benchmark)
-from .projection import ProjectionParams, project_graph
-from .ranking import ALGORITHMS, RankingConfig, rank
+from .projection import ProjectionParams
+from .ranking import ALGORITHMS, RankingConfig, rank_projections
 from .sweep import (DEFAULT_BENCHMARK_FRACTION, DEFAULT_GRID_STEP,
                     DEFAULT_REALIZATIONS, RealSource, SweepGrid, SynthSource,
                     compare_table, find_optimum, grid_values, run_sweep)
@@ -181,22 +181,14 @@ def cmd_synth(args) -> int:
 
 
 def _rank_projected(args, graph):
-    """Ranks `graph` under the --p1/--p2 projection."""
+    """Ranks `graph` under the --p1/--p2 projection, on its own classes."""
     cfg = _ranking_config(args)
-    result = rank(project_graph(graph, ProjectionParams(args.p1, args.p2)),
-                  cfg)
+    params = ProjectionParams(args.p1, args.p2)
+    [(_, result)] = rank_projections(graph, cfg, [params])
     _say(args, f"{cfg.algorithm}: iterations={result.iterations_used} "
                f"converged={result.converged} "
                f"residual={result.final_residual:.3e}")
     return result
-
-
-def _ranked_rows(qualities, item_map):
-    ranks = quality_ranks(qualities)
-    order = np.argsort(ranks, kind="stable")
-    for j in order:
-        ext = item_map.external(int(j)) if item_map else str(int(j))
-        yield ext, qualities[j], ranks[j]
 
 
 def cmd_rank(args) -> int:
@@ -206,11 +198,14 @@ def cmd_rank(args) -> int:
         print(f"warning: not converged after {result.iterations_used} "
               f"iterations (residual {result.final_residual:.3e})",
               file=sys.stderr)
+    ranks = quality_ranks(result.qualities)
 
     def write_items(fh):
         fh.write("item_id,quality,rank\n")
-        for ext, q, r in _ranked_rows(result.qualities, item_map):
-            fh.write(f"{ext},{float(q)!r},{float(r)!r}\n")
+        for j in np.argsort(ranks, kind="stable"):
+            ext = item_map.external(int(j)) if item_map else str(int(j))
+            fh.write(f"{ext},{float(result.qualities[j])!r},"
+                     f"{float(ranks[j])!r}\n")
 
     def write_users(fh):
         fh.write("user_id,reputation\n")
@@ -286,39 +281,37 @@ def cmd_sweep(args) -> int:
 
 
 def _read_sweep_csv(path: Path) -> SweepGrid:
-    meta = None
-    rows = []
+    """The grid of a sweep output file: its `# tag=` line, its header and
+    a row per cell, each row parsed once into its (p1, p2) cell (a later
+    row for a cell replaces an earlier one)."""
+    refused = ValueError(f"{path}: not a sweep output file")
+    meta, header, cells, ns = None, False, {}, []
     with _open_text(path) as fh:
         for raw in fh:
             line = raw.strip()
-            match = _SWEEP_META.fullmatch(line)
-            if match:
+            if match := _SWEEP_META.fullmatch(line):
                 meta = match.groups()
-                continue
-            if not line or line.startswith("#") or line.startswith("p1,"):
-                continue
-            try:
-                p1, p2, mean, std, n, conv = line.split(",")
-                rows.append((float(p1), float(p2), float(mean), float(std),
-                             int(n), float(conv)))
-            except ValueError:
-                raise ValueError(f"{path}: not a sweep output file") from None
-    if not rows or meta is None:
-        raise ValueError(f"{path}: not a sweep output file")
-    p1_values = tuple(sorted({r[0] for r in rows}))
-    p2_values = tuple(sorted({r[1] for r in rows}))
-    shape = (len(p1_values), len(p2_values))
-    mean = np.full(shape, np.nan)
-    std = np.zeros(shape)
-    conv = np.zeros(shape)
-    for p1, p2, m, s, _, c in rows:
-        a, b = p1_values.index(p1), p2_values.index(p2)
-        mean[a, b], std[a, b], conv[a, b] = m, s, c
+            elif line.startswith("p1,"):
+                header = True
+            elif line and not line.startswith("#"):
+                try:
+                    p1, p2, mean, std, n, conv = line.split(",")
+                    ns.append(int(n))
+                    cells[float(p1), float(p2)] = (float(mean), float(std),
+                                                   float(conv))
+                except ValueError:
+                    raise refused from None
+    if not (cells and meta and header):
+        raise refused
+    p1_values, p2_values = (tuple(sorted(set(axis))) for axis in zip(*cells))
+    mean, std, conv = np.array(
+        [[cells.get((p1, p2), (np.nan,) * 3) for p2 in p2_values]
+         for p1 in p1_values]).transpose(2, 0, 1)
     if np.isnan(mean).any():
         raise ValueError(f"{path}: incomplete grid")
     tag, algorithm, metric, _ = meta
-    return SweepGrid(p1_values, p2_values, mean, std, conv,
-                     int(rows[0][4]), metric, algorithm, tag)
+    return SweepGrid(p1_values, p2_values, mean, std, conv, ns[0], metric,
+                     algorithm, tag)
 
 
 def cmd_table(args) -> int:

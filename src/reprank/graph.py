@@ -320,13 +320,18 @@ def write_ratings_csv(
     """Serialize a graph in the generic CSV format; re-ingesting reproduces it.
 
     Without id maps, dense indices are written as the external ids. An id
-    the reader would not read back as itself (empty, with a comma, line
-    break or surrounding whitespace, or a user id led by `#`) is an error.
+    map of the wrong length, or an id the reader would not read back as
+    itself (empty, with a comma, line break or surrounding whitespace, or a
+    user id led by `#`), is an error raised before `dest` is opened.
     """
-    for id_map in (user_map, item_map):
+    for side, id_map, n in (("user", user_map, graph.num_users),
+                            ("item", item_map, graph.num_items)):
+        if id_map is not None and len(id_map) != n:
+            raise ValueError(f"{side} map holds {len(id_map)} ids for "
+                             f"{n} {side}s")
         for ext in id_map.ids if id_map else ():
             if (not ext or any(c in ext for c in ",\n\r") or ext != ext.strip()
-                    or (id_map is user_map and ext.startswith("#"))):
+                    or (side == "user" and ext.startswith("#"))):
                 raise ValueError(f"external id {ext!r} cannot be written "
                                  "to a ratings CSV")
     with _open_text(dest, "w") as stream:

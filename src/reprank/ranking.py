@@ -61,6 +61,9 @@ class RankingConfig:
         _require(self.algorithm in ALGORITHMS,
                  f"unknown algorithm {self.algorithm!r}; "
                  f"expected one of {ALGORITHMS}")
+        for name in ("beta", "epsilon", "theta", "delta"):
+            _require(not isinstance(getattr(self, name), (bool, np.bool_)),
+                     f"{name} must be a number, not a bool")
         _require(0 <= self.beta < np.inf, "beta must be finite and >= 0")
         _require(0 < self.epsilon < np.inf, "epsilon must be finite and > 0")
         _require(0 < self.theta < np.inf, "theta must be finite and > 0")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -54,7 +55,8 @@ class SynthSource:
     benchmark_fraction: float = DEFAULT_BENCHMARK_FRACTION
 
     def __post_init__(self):
-        if not 0.0 < self.benchmark_fraction <= 1.0:
+        if (isinstance(self.benchmark_fraction, (bool, np.bool_))
+                or not 0.0 < self.benchmark_fraction <= 1.0):
             raise ValueError("benchmark_fraction must be in (0, 1]")
 
     @property
@@ -116,31 +118,26 @@ class Optimum(NamedTuple):
     value: float
 
 
-def _metric_value(result, metric, benchmark, truth):
-    if metric == "rs":
-        return ranking_score(result.qualities, benchmark).value
-    return reputation_error_correlation(
-        result.reputations, truth.error_magnitude).value
-
-
-def _grid_for_graph(graph, config, cells, metric, benchmark, truth):
-    """Each cell's metric and convergence, as rank(project_graph(graph,
-    cell)) would give them; `rank_projections` batches the cells."""
-    values = np.empty((len(cells), len(cells[0])))
-    conv = np.empty_like(values, dtype=bool)
-    flat = [params for row in cells for params in row]
-    for i, result in rank_projections(graph, config, flat):
-        values.flat[i] = _metric_value(result, metric, benchmark, truth)
-        conv.flat[i] = result.converged
+def _realization(source, config, params, metric, j):
+    """Each cell's metric and convergence on realization j of `source`, as
+    rank(project_graph(graph, cell)) would give them; `rank_projections`
+    batches the cells."""
+    if isinstance(source, RealSource):
+        graph, benchmark, truth = source.graph, source.benchmark, None
+    else:
+        seed = np.random.SeedSequence([source.spec.seed, j])
+        graph, truth = generate_network(source.spec,
+                                        np.random.default_rng(seed))
+        benchmark = (top_fraction_benchmark(truth, source.benchmark_fraction)
+                     if metric == "rs" else None)
+    values = np.empty(len(params))
+    conv = np.empty(len(params), dtype=bool)
+    for i, result in rank_projections(graph, config, params):
+        values[i] = (ranking_score(result.qualities, benchmark).value
+                     if metric == "rs" else reputation_error_correlation(
+                         result.reputations, truth.error_magnitude).value)
+        conv[i] = result.converged
     return values, conv
-
-
-def _synth_realization(source, config, cells, metric, j):
-    seed = np.random.SeedSequence([source.spec.seed, j])
-    graph, truth = generate_network(source.spec, np.random.default_rng(seed))
-    benchmark = (top_fraction_benchmark(truth, source.benchmark_fraction)
-                 if metric == "rs" else None)
-    return _grid_for_graph(graph, config, cells, metric, benchmark, truth)
 
 
 def run_sweep(
@@ -170,8 +167,7 @@ def run_sweep(
     p2s = tuple(p2_values) if p2_values is not None else grid_values()
     if not p1s or not p2s:
         raise ValueError("empty grid")
-    cells = tuple(tuple(ProjectionParams(p1, p2) for p2 in p2s)
-                  for p1 in p1s)
+    params = [ProjectionParams(p1, p2) for p1 in p1s for p2 in p2s]
 
     if isinstance(source, RealSource):
         if metric != "rs":
@@ -181,23 +177,19 @@ def run_sweep(
             raise ValueError("real data is deterministic; n_realizations "
                              "must be 1")
         n_realizations = 1
-        values, conv = _grid_for_graph(source.graph, config, cells, metric,
-                                       source.benchmark, None)
-        stack, conv_stack = values[None], conv[None]
+    elif n_realizations is None:
+        n_realizations = DEFAULT_REALIZATIONS
+    if n_realizations < 1:
+        raise ValueError("n_realizations must be >= 1")
+    run = partial(_realization, source, config, params, metric)
+    if threads == 1 or n_realizations == 1:
+        results = list(map(run, range(n_realizations)))
     else:
-        if n_realizations is None:
-            n_realizations = DEFAULT_REALIZATIONS
-        if n_realizations < 1:
-            raise ValueError("n_realizations must be >= 1")
-        args = [(source, config, cells, metric, j)
-                for j in range(n_realizations)]
-        if threads == 1 or n_realizations == 1:
-            results = [_synth_realization(*a) for a in args]
-        else:
-            with ProcessPoolExecutor(max_workers=min(threads,
-                                                     n_realizations)) as pool:
-                results = list(pool.map(_synth_realization, *zip(*args)))
-        stack, conv_stack = map(np.stack, zip(*results))
+        with ProcessPoolExecutor(max_workers=min(threads,
+                                                 n_realizations)) as pool:
+            results = list(pool.map(run, range(n_realizations)))
+    shape = (n_realizations, len(p1s), len(p2s))
+    stack, conv_stack = (np.reshape(a, shape) for a in zip(*results))
 
     return SweepGrid(
         p1_values=p1s,

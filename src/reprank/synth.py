@@ -52,16 +52,21 @@ class SynthSpec:
 
     def __post_init__(self):
         if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool)
-                   for n in (self.num_users, self.num_items, self.num_links)):
-            raise ValueError("num_users, num_items and num_links must be integers")
+                   for n in (self.num_users, self.num_items, self.num_links,
+                             self.seed)):
+            raise ValueError("num_users, num_items, num_links and seed must "
+                             "be integers")
         if self.num_users < 1 or self.num_items < 1:
             raise ValueError("need at least one user and one item")
         if not 0 <= self.num_links <= self.num_users * self.num_items:
             raise ValueError("num_links must be in [0, num_users * num_items]")
-        if self.case not in CASES:
+        if isinstance(self.case, (bool, np.bool_)) or self.case not in CASES:
             raise ValueError(f"case must be one of {CASES}")
-        if not 0.0 <= self.spam_fraction <= 1.0:
+        if (isinstance(self.spam_fraction, (bool, np.bool_))
+                or not 0.0 <= self.spam_fraction <= 1.0):
             raise ValueError("spam_fraction must be in [0, 1]")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)

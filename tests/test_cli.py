@@ -7,8 +7,11 @@ import shutil
 import pytest
 
 from reprank.cli import main
-from reprank.metrics import quality_ranks
+from reprank.graph import RatingGraph
+from reprank.metrics import quality_ranks, ranking_score, top_fraction_benchmark
+from reprank.projection import ProjectionParams, project_graph
 from reprank.ranking import RankingConfig, rank
+from reprank.sweep import DEFAULT_BENCHMARK_FRACTION
 from reprank.synth import SynthSpec, generate_network
 
 SIZE_ARGS = ["--users", "50", "--items", "30", "--links", "400",
@@ -132,6 +135,34 @@ def test_rank_warns_when_not_converged(tmp_path, capsys):
     assert rc == 0
     assert "warning: not converged after 1 iterations" in (
         capsys.readouterr().err)
+
+
+def test_rank_and_eval_rank_on_the_source_grouping(tmp_path, capsys,
+                                                   monkeypatch):
+    """rank and eval rank on the source graph's own class grouping, with no
+    projected copy, bit for bit as rank(project_graph(...))."""
+    graph, truth = generate_network(SYNTH_SPEC)
+    config = RankingConfig(algorithm="cr")
+    direct = rank(project_graph(graph, ProjectionParams(0.3, 0.7)), config)
+    benchmark = top_fraction_benchmark(truth, DEFAULT_BENCHMARK_FRACTION)
+    rs = ranking_score(direct.qualities, benchmark).value
+
+    def copy(*args, **kwargs):
+        raise AssertionError("ranked a with_ratings copy")
+
+    monkeypatch.setattr(RatingGraph, "with_ratings", copy)
+    argv = [*SOURCE_ARGS, "--algorithm", "cr", "--p1", "0.3", "--p2", "0.7"]
+    items, users = tmp_path / "items.csv", tmp_path / "users.csv"
+    assert main(["rank", *argv, "--out-items", str(items),
+                 "--out-users", str(users)]) == 0
+    qualities = dict(l.split(",")[:2] for l in data_lines(items)[1:])
+    assert [float(qualities[str(j)]) for j in range(graph.num_items)] == (
+        direct.qualities.tolist())
+    assert [float(l.split(",")[1]) for l in data_lines(users)[1:]] == (
+        direct.reputations.tolist())
+    capsys.readouterr()
+    assert main(["eval", *argv]) == 0
+    assert f"rs={rs!r}" in capsys.readouterr().out.splitlines()
 
 
 def test_source_must_be_unambiguous(tmp_path):
@@ -385,6 +416,26 @@ def test_table_rejects_bad_inputs(tmp_path, capsys):
                "--out", str(tmp_path / "t.csv")])
     assert rc == 1
     assert "not a sweep output" in capsys.readouterr().err
+
+    good = sweep_file(tmp_path, "good", "--fix-p1", "0.5").read_text(
+        ).splitlines()
+    assert good[1].startswith("# tag=") and good[2].startswith("p1,p2,")
+    row = good[4]   # the second data row
+
+    def without(i, *replacement):
+        return good[:i] + list(replacement) + good[i + 1:]
+
+    bad = tmp_path / "bad.csv"
+    for lines in (without(4, row.rsplit(",", 1)[0]),         # 5 fields
+                  without(4, row + ",1"),                     # 7 fields
+                  without(4, row.replace(",2,", ",2.0,")),    # n not an int
+                  without(1),                                 # no `# tag=`
+                  without(2)):                                # no header
+        bad.write_text("\n".join(lines) + "\n")
+        rc = main(["table", "--sweeps", str(bad),
+                   "--out", str(tmp_path / "t.csv")])
+        assert rc == 1
+        assert f"{bad}: not a sweep output" in capsys.readouterr().err
 
     corr = tmp_path / "corr.csv"
     rc = main(["sweep", *SOURCE_ARGS, "--metric", "corr", "--algorithm", "cr",

@@ -287,6 +287,17 @@ def test_write_rejects_ids_that_do_not_read_back():
     assert ingest_ratings(buf).item_map.ids == ("#1",)
 
 
+def test_write_rejects_maps_of_the_wrong_length(tmp_path):
+    out = tmp_path / "ratings.csv"
+    out.write_text("kept\n")
+    two, three, four = (IdMap.from_ids("abcd"[:n]) for n in (2, 3, 4))
+    for users, items, message in ((two, None, "user map holds 2 ids for 3"),
+                                  (three, four, "item map holds 4 ids for 3")):
+        with pytest.raises(ValueError, match=message):
+            write_ratings_csv(small_graph(), out, users, items)
+    assert out.read_text() == "kept\n"
+
+
 def test_idmap_rejects_duplicates():
     with pytest.raises(ValueError, match="unique"):
         IdMap.from_ids(["a", "b", "a"])

@@ -36,6 +36,9 @@ def test_config_validation():
     for name in ("beta", "epsilon", "theta", "delta"):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             RankingConfig(**{name: math.inf})
+        for flag in (True, np.bool_(True)):
+            with pytest.raises(ValueError, match=f"{name} must be a number"):
+                RankingConfig(algorithm="ir", **{name: flag})
 
 
 @pytest.mark.parametrize("bad", [2.5, True])

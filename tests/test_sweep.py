@@ -9,7 +9,7 @@ from reprank.projection import ProjectionParams, project_graph
 from reprank.ranking import ALGORITHMS, RankingConfig, rank
 from reprank.sweep import (DEFAULT_BENCHMARK_FRACTION, DEFAULT_REALIZATIONS,
                            Optimum, RealSource, SweepGrid, SynthSource,
-                           _grid_for_graph, compare_table, find_optimum,
+                           _realization, compare_table, find_optimum,
                            grid_values, run_sweep)
 from reprank.synth import SynthSpec, generate_network
 
@@ -33,8 +33,10 @@ def test_grid_values():
 def test_synth_source_defaults():
     src = SynthSource(TINY)
     assert src.tag == "case1"
-    with pytest.raises(ValueError):
-        SynthSource(TINY, benchmark_fraction=0.0)
+    for fraction in (0.0, True, np.bool_(True)):
+        with pytest.raises(ValueError, match="benchmark_fraction"):
+            SynthSource(TINY, benchmark_fraction=fraction)
+    assert SynthSource(TINY, benchmark_fraction=1).benchmark_fraction == 1
 
 
 def grid_of(mean, p1v, p2v, metric="rs", conv=None, n=1):
@@ -208,15 +210,14 @@ def assert_cells_equal_direct_ranks(spec, p1_values, algorithm="cr"):
     graph, truth = generate_network(spec)
     benchmark = top_fraction_benchmark(truth, DEFAULT_BENCHMARK_FRACTION)
     config = RankingConfig(algorithm=algorithm)
-    cells = tuple(tuple(ProjectionParams(p1, p2) for p2 in grid_values())
-                  for p1 in p1_values)
-    values, conv = _grid_for_graph(graph, config, cells, "rs", benchmark,
-                                   truth)
-    for a, row in enumerate(cells):
-        for b, params in enumerate(row):
-            direct = rank(project_graph(graph, params), config)
-            rs = ranking_score(direct.qualities, benchmark).value
-            assert (values[a, b], conv[a, b]) == (rs, direct.converged)
+    params = [ProjectionParams(p1, p2) for p1 in p1_values
+              for p2 in grid_values()]
+    values, conv = _realization(RealSource(graph, benchmark), config, params,
+                                "rs", 0)
+    for i, cell in enumerate(params):
+        direct = rank(project_graph(graph, cell), config)
+        rs = ranking_score(direct.qualities, benchmark).value
+        assert (values[i], conv[i]) == (rs, direct.converged)
 
 
 @pytest.mark.parametrize("algorithm", ["ir", "cr", "rr"])

@@ -29,6 +29,19 @@ def test_spec_validation():
         with pytest.raises(ValueError, match="must be integers"):
             SynthSpec(*sizes)
     SynthSpec(np.int64(10), np.int32(10), np.uint16(10))
+    for case in (True, np.bool_(True)):
+        with pytest.raises(ValueError, match="case must be"):
+            SynthSpec(30, 20, 100, case=case)
+    for spam in (True, np.bool_(False)):
+        with pytest.raises(ValueError, match="spam_fraction"):
+            SynthSpec(30, 20, 100, spam_fraction=spam)
+    for seed in (True, 1.5, np.float64(1), "1", None):
+        with pytest.raises(ValueError, match="seed must be integers"):
+            SynthSpec(30, 20, 100, seed=seed)
+    for seed in (-1, np.int64(-3)):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            SynthSpec(30, 20, 100, seed=seed)
+    SynthSpec(30, 20, 100, case=np.int64(1), spam_fraction=1, seed=np.uint8(7))
 
 
 def test_truth_validation():
