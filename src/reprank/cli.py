@@ -282,10 +282,10 @@ def cmd_sweep(args) -> int:
 
 def _read_sweep_csv(path: Path) -> SweepGrid:
     """The grid of a sweep output file: its `# tag=` line, its header and
-    a row per cell, each row parsed once into its (p1, p2) cell (a later
-    row for a cell replaces an earlier one)."""
+    a row per cell, each row parsed once into its (p1, p2) cell. A cell
+    given twice, or a row whose n is not the tag line's, is an error."""
     refused = ValueError(f"{path}: not a sweep output file")
-    meta, header, cells, ns = None, False, {}, []
+    meta, header, cells, ns = None, False, {}, set()
     with _open_text(path) as fh:
         for raw in fh:
             line = raw.strip()
@@ -296,21 +296,25 @@ def _read_sweep_csv(path: Path) -> SweepGrid:
             elif line and not line.startswith("#"):
                 try:
                     p1, p2, mean, std, n, conv = line.split(",")
-                    ns.append(int(n))
-                    cells[float(p1), float(p2)] = (float(mean), float(std),
-                                                   float(conv))
+                    ns.add(int(n))
+                    cell = float(p1), float(p2)
+                    row = float(mean), float(std), float(conv)
                 except ValueError:
                     raise refused from None
+                if cells.setdefault(cell, row) is not row:
+                    raise ValueError(f"{path}: cell ({p1}, {p2}) repeated")
     if not (cells and meta and header):
         raise refused
+    if ns != {int(meta[3])}:
+        raise ValueError(f"{path}: a row's n differs from n={meta[3]}")
     p1_values, p2_values = (tuple(sorted(set(axis))) for axis in zip(*cells))
     mean, std, conv = np.array(
         [[cells.get((p1, p2), (np.nan,) * 3) for p2 in p2_values]
          for p1 in p1_values]).transpose(2, 0, 1)
     if np.isnan(mean).any():
         raise ValueError(f"{path}: incomplete grid")
-    tag, algorithm, metric, _ = meta
-    return SweepGrid(p1_values, p2_values, mean, std, conv, ns[0], metric,
+    tag, algorithm, metric, n = meta
+    return SweepGrid(p1_values, p2_values, mean, std, conv, int(n), metric,
                      algorithm, tag)
 
 

@@ -65,8 +65,8 @@ class RatingGraph:
 
     num_users: int
     num_items: int
-    users: np.ndarray      # link user indices, canonical order
-    items: np.ndarray      # link item indices, canonical order
+    users: np.ndarray      # link user indices, canonical order, int32 or int64
+    items: np.ndarray      # link item indices, canonical order, same dtype
     ratings: np.ndarray    # link weights, canonical order
     user_ptr: np.ndarray   # CSR offsets over canonical order, len num_users+1
 
@@ -79,9 +79,9 @@ class RatingGraph:
         items: Iterable[int],
         ratings: Iterable[float],
     ) -> "RatingGraph":
-        """Sorts the links on the int64 key user * num_items + item, which
-        needs num_users * num_items < 2**63: distinct keys give canonical
-        order, and equal ones (duplicate pairs) end up adjacent."""
+        """Sorts the links on the int64 key user * num_items + item (needs
+        num_users * num_items < 2**63); equal keys (duplicate pairs) end up
+        adjacent. Nodes are int32 if both counts are < 2**31, else int64."""
         if int(num_users) * int(num_items) >= 2**63:
             raise ValueError("num_users * num_items must be below 2**63")
         users = np.asarray(users, dtype=np.int64)
@@ -99,8 +99,9 @@ class RatingGraph:
         _check_rating_bounds(ratings)
 
         order = np.argsort(users * num_items + items)
-        users = users[order]
-        items = items[order]
+        idx = np.int32 if max(num_users, num_items) < 2**31 else np.int64
+        users = users.astype(idx)[order]
+        items = items.astype(idx)[order]
         ratings = ratings[order]
         if users.size > 1:
             same = (users[1:] == users[:-1]) & (items[1:] == items[:-1])

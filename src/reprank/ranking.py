@@ -45,7 +45,7 @@ from .graph import RatingGraph
 from .projection import ProjectionParams, project_classes
 
 ALGORITHMS = ("mean", "ir", "cr", "rr")
-CHUNK = 21      # most projections ranked at once, a default grid row
+CHUNK = 10      # most projections ranked at once; memory grows as pairs x K
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,7 @@ class _Side(NamedTuple):
 
 def _side(node, n_nodes, other, n_other, classes, ones) -> _Side:
     n, idx = node.size, (np.int32 if node.size < 2**31 else np.int64)
-    key = node * classes.values.size + classes.labels
+    key = node.astype(np.int64) * classes.values.size + classes.labels
     if key.max() > 4 * n:       # many classes: number the pairs that occur
         key = np.unique(key, return_inverse=True)[1]
     first = np.full(key.max() + 1, n, dtype=idx)

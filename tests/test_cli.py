@@ -459,6 +459,37 @@ def test_table_rejects_incomplete_grid(tmp_path, capsys):
     assert "incomplete grid" in capsys.readouterr().err
 
 
+def refused_sweep(tmp_path, name, edit):
+    """A p1 = 0.5 sweep file whose lines passed through `edit`, after
+    checking that `table` refuses it."""
+    sweep = sweep_file(tmp_path, name, "--fix-p1", "0.5")
+    lines = sweep.read_text().splitlines()
+    assert lines[4].startswith("0.5,0.5,") and lines[1].endswith(" n=2")
+    sweep.write_text("\n".join(edit(lines)) + "\n")
+    assert main(["table", "--sweeps", str(sweep),
+                 "--out", str(tmp_path / "t.csv")]) == 1
+    return sweep
+
+
+def test_table_rejects_a_repeated_cell(tmp_path, capsys):
+    # a later row for a cell used to replace the earlier one silently
+    def repeat(lines):
+        p1, p2, mean, *rest = lines[4].split(",")
+        return lines[:5] + [",".join([p1, p2, "0.25", *rest])] + lines[5:]
+    sweep = refused_sweep(tmp_path, "twice", repeat)
+    assert f"{sweep}: cell (0.5, 0.5) repeated" in capsys.readouterr().err
+
+
+def test_table_rejects_a_row_n_other_than_the_tag_lines(tmp_path, capsys):
+    # a row's n used to be read only from the first row, and never checked
+    def renumber(lines):
+        fields = lines[4].split(",")
+        fields[4] = "7"
+        return lines[:4] + [",".join(fields)] + lines[5:]
+    sweep = refused_sweep(tmp_path, "seven", renumber)
+    assert f"{sweep}: a row's n differs from n=2" in capsys.readouterr().err
+
+
 def test_outdir_env_var(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("REPRANK_OUTDIR", str(tmp_path / "artifacts"))
     rc = main(["synth", *SYNTH_ARGS, "--out-ratings", "r.csv",

@@ -9,6 +9,7 @@ from reprank.graph import (FORMATS, MOVIELENS, BenchmarkSet,
                            DuplicatePairError, IdMap, IngestError,
                            RatingGraph, ingest_ratings, load_benchmark,
                            write_ratings_csv)
+from reprank.projection import ProjectionParams, project_graph
 from reprank.ranking import RankingConfig, rank
 
 
@@ -75,9 +76,24 @@ def test_build_order_matches_lexsort(seed):
         rng, n_u, n_i, int(rng.integers(0, n_u * n_i // 3 + 2)))
     g = RatingGraph.build(n_u, n_i, users, items, ratings)
     order = np.lexsort((items, users))
+    assert g.users.dtype == g.items.dtype == np.int32
     assert np.array_equal(g.users, users[order])
     assert np.array_equal(g.items, items[order])
     assert np.array_equal(g.ratings, ratings[order])
+
+
+def test_build_stores_int64_nodes_from_2_31_nodes_on():
+    g = RatingGraph.build(2, 2**31, [1, 0], [2**31 - 1, 5], [3.0, 4.0])
+    assert g.users.dtype == g.items.dtype == np.int64
+    assert g.items.tolist() == [5, 2**31 - 1]
+
+
+def test_copies_share_the_node_index_arrays():
+    g = small_graph()
+    for h in (g.with_ratings(np.full(7, 3.0)),
+              project_graph(g, ProjectionParams(0.2, 0.9))):
+        assert h.ratings is not g.ratings
+        assert h.users is g.users and h.items is g.items
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -656,8 +656,9 @@ def test_columns_stop_at_their_own_iterations(algorithm):
 
 def test_projections_are_yielded_a_chunk_at_a_time(monkeypatch):
     # a chunk's results leave before the next chunk runs, so a sweep holds
-    # at most CHUNK results at once: 23 cells on one grouping run as 21 and
-    # 2 columns, and a merging corner cell on its own grouping after them
+    # at most CHUNK results at once: 23 cells on one grouping run as full
+    # chunks and the rest, and a merging corner cell on its own grouping
+    # after them
     ks, fixed_point = [], ranking._fixed_point
 
     def recording(cfg, graph, cells):
@@ -673,7 +674,23 @@ def test_projections_are_yielded_a_chunk_at_a_time(monkeypatch):
     assert next(results)[0] == 0
     assert len(ks) == 1 and ks[0] <= ranking.CHUNK
     assert [i for i, _ in results] == list(range(1, 24))
-    assert ks == [21, 2, 1]
+    full, rest = divmod(23, ranking.CHUNK)
+    assert ks == [ranking.CHUNK] * full + [rest, 1]
+
+
+def test_pair_keys_do_not_wrap_at_32_bits():
+    # an item-side (item, class) pair key is item * classes + class: items
+    # 0 and 61,356, carrying classes 0 and 47,296 of 70,000, have keys 0 and
+    # exactly 2**32, which int32 arithmetic would give one pair
+    n, a, b = 70_000, 47_296, 61_356
+    assert b * n + a == 2**32
+    labels = np.arange(n)
+    labels[[a, b]] = b, a
+    ratings = np.linspace(1.0, 5.0, n)[labels]
+    g = RatingGraph.build(2, n, np.arange(n) % 2, np.arange(n), ratings)
+    assert g.rating_classes.labels[g.items == b].tolist() == [a]
+    q = rank(g, RankingConfig(algorithm="mean")).qualities
+    assert np.array_equal(q, ratings)
 
 
 @pytest.mark.parametrize("algorithm, built", [

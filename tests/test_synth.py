@@ -121,7 +121,8 @@ def test_topology_duplicate_check_memory(shape):
 
 def test_paper_scale_network_is_pinned():
     g, _ = generate_network(SynthSpec(seed=1))
-    digest = hashlib.sha1(g.users.tobytes() + g.items.tobytes()
+    digest = hashlib.sha1(g.users.astype(np.int64).tobytes()
+                          + g.items.astype(np.int64).tobytes()
                           + g.ratings.tobytes()).hexdigest()
     assert digest == "0330c7dea3f061d580cda3ceb271c501e05a533d"
 
