@@ -84,8 +84,7 @@ class RatingGraph:
         adjacent. Nodes are int32 if both counts are < 2**31, else int64."""
         if int(num_users) * int(num_items) >= 2**63:
             raise ValueError("num_users * num_items must be below 2**63")
-        users = np.asarray(users, dtype=np.int64)
-        items = np.asarray(items, dtype=np.int64)
+        users, items = map(_node_indices, (users, items))
         ratings = np.asarray(ratings, dtype=np.float64)
         if not (users.shape == items.shape == ratings.shape) or users.ndim != 1:
             raise ValueError("users, items and ratings must be 1-D and equally long")
@@ -98,10 +97,10 @@ class RatingGraph:
                 raise ValueError("item index out of range")
         _check_rating_bounds(ratings)
 
-        order = np.argsort(users * num_items + items)
+        order = np.argsort(users.astype(np.int64) * num_items + items)
         idx = np.int32 if max(num_users, num_items) < 2**31 else np.int64
-        users = users.astype(idx)[order]
-        items = items.astype(idx)[order]
+        users = users.astype(idx, copy=False)[order]
+        items = items.astype(idx, copy=False)[order]
         ratings = ratings[order]
         if users.size > 1:
             same = (users[1:] == users[:-1]) & (items[1:] == items[:-1])
@@ -109,8 +108,8 @@ class RatingGraph:
                 k = int(np.flatnonzero(same)[0])
                 raise DuplicatePairError(int(users[k]), int(items[k]))
 
-        user_ptr = np.zeros(num_users + 1, dtype=np.int64)
-        np.cumsum(np.bincount(users, minlength=num_users), out=user_ptr[1:])
+        user_ptr = np.searchsorted(   # where bincount would copy users to intp
+            users, np.arange(num_users + 1, dtype=idx)).astype(np.int64)
 
         for a in (users, items, ratings, user_ptr):
             a.setflags(write=False)
@@ -138,9 +137,10 @@ class RatingGraph:
     def rating_classes(self) -> RatingClasses:
         """The links grouped by rating, built on first use; this graph's
         alone, as `with_ratings` copies group their own."""
-        values, labels = np.unique(self.ratings, return_inverse=True)
+        values = np.unique(self.ratings)
+        labels = np.searchsorted(values, self.ratings)
         return RatingClasses(values, labels.astype(
-            np.uint8 if values.size <= 256 else np.intp), {})
+            np.uint8 if values.size <= 256 else np.intp, copy=False), {})
 
     def with_ratings(self, ratings: np.ndarray) -> "RatingGraph":
         """Copy of this graph with new link weights and none of its caches."""
@@ -161,6 +161,14 @@ class RatingGraph:
             and np.array_equal(self.items, other.items)
             and np.array_equal(self.ratings, other.ratings)
         )
+
+
+def _node_indices(a) -> np.ndarray:
+    """a as a signed integer array; unsigned ones and [] become int64."""
+    a = np.asarray(a)
+    if a.size and a.dtype.kind not in "iu":
+        raise ValueError(f"node indices must be integers, not {a.dtype}")
+    return a if a.dtype.kind == "i" else a.astype(np.int64)
 
 
 def _check_rating_bounds(ratings: np.ndarray) -> None:

@@ -46,6 +46,7 @@ from .projection import ProjectionParams, project_classes
 
 ALGORITHMS = ("mean", "ir", "cr", "rr")
 CHUNK = 10      # most projections ranked at once; memory grows as pairs x K
+_BLOCK = 1 << 16    # links per block of rr's penalty gather
 
 
 @dataclass(frozen=True)
@@ -108,9 +109,10 @@ def _side(node, n_nodes, other, n_other, classes, ones) -> _Side:
     first = first[np.lexsort((first, node[first]))]  # by node, then first link
     row = np.empty(key.max() + 1, dtype=idx)
     row[key[first]] = np.arange(first.size)
-    pairs = sp.csr_array((ones, (row[key], other.astype(idx))),
+    key = row[key]          # each link's pair row; the pair keys are freed
+    pairs = sp.csr_array((np.ones(n, np.uint8), (key, other)),
                          shape=(first.size, n_other))
-    pairs.data = ones               # one array for every grouping of the links
+    pairs.data = ones   # built on 1-byte data; one array for every grouping
     starts = np.searchsorted(node[first], np.arange(n_nodes + 1)).astype(idx)
     nodes = sp.csr_array((ones[:first.size], np.arange(first.size, dtype=idx),
                           starts), shape=(n_nodes, first.size))
@@ -127,10 +129,11 @@ def _operators(g: RatingGraph, classes) -> tuple[_Side, _Side]:
                  "every user must have rated at least one item")
         _require(np.bincount(g.items, minlength=g.num_items).all(),
                  "every item must have at least one rating")
-        ones = g.rating_classes.cache.setdefault("ones", np.ones(g.num_links))
+        if "ones" not in (cache := g.rating_classes.cache):
+            cache["ones"] = np.ones(g.num_links)
         sides = ((g.items, g.num_items, g.users, g.num_users),
                  (g.users, g.num_users, g.items, g.num_items))
-        classes.cache["operators"] = tuple(_side(*s, classes, ones)
+        classes.cache["operators"] = tuple(_side(*s, classes, cache["ones"])
                                            for s in sides)
     return classes.cache["operators"]
 
@@ -328,13 +331,20 @@ def _rr_step(cfg, cols, q, rep, use_penalty=True, use_damping=True):
     exercise the degenerate path: both off, theta 1 reproduces cr.
     """
     if use_penalty:
-        # a column at a time, as a K x links gather is large; scaled only
-        # where the weighted mean applied: reputations are non-negative, so
-        # a zero top rater means zero weight, so the plain mean stands
+        # the top rater reputation per item, a column and about _BLOCK links
+        # of whole items at a time into one buffer ("clip" takes without a
+        # copy); scaled only where the weighted mean applied: reputations are
+        # non-negative, so a zero top rater leaves the plain mean standing
         raters = cols.items.pairs.indices       # each item's, pair by pair
-        starts = cols.items.pairs.indptr[cols.items.nodes.indptr[:-1]]
-        penalty = np.array([np.maximum.reduceat(r.take(raters), starts)
-                            for r in rep])
+        starts = cols.items.pairs.indptr[cols.items.nodes.indptr]  # and end
+        cut = np.unique(np.searchsorted(    # block k: items cut[k]:cut[k+1]
+            starts, np.r_[0:raters.size:_BLOCK, raters.size]))
+        at, penalty = starts[cut], np.empty_like(q)
+        buf = np.empty(np.diff(at).max())   # block k's links: at[k]:at[k+1]
+        for r, p in zip(rep, penalty):
+            for i, j, a, b in zip(cut[:-1], cut[1:], at[:-1], at[1:]):
+                np.take(r, raters[a:b], out=buf[:b - a], mode="clip")
+                np.maximum.reduceat(buf[:b - a], starts[i:j] - a, out=p[i:j])
         pos = penalty > 0
         q[pos] *= np.minimum(penalty[pos], 1.0)
     trust = (np.maximum(_pearson(cols, q), 0.0, order="C")

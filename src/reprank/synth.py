@@ -16,7 +16,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .graph import RatingGraph, _open_text
+from .graph import RatingGraph, _node_indices, _open_text
 
 CASES = (0, 1, 2, 3, 4)
 
@@ -121,9 +121,10 @@ def generate_topology(
     takes at most about 64 bytes per link; the links are the same either way.
     """
     n_u, n_i, n_l = map(int, (spec.num_users, spec.num_items, spec.num_links))
+    idx = np.int32 if max(n_u, n_i) < 2**31 else np.int64
     if n_l == n_u * n_i:
-        return (np.repeat(np.arange(n_u), n_i),
-                np.tile(np.arange(n_i), n_u))
+        return (np.repeat(np.arange(n_u, dtype=idx), n_i),
+                np.tile(np.arange(n_i, dtype=idx), n_u))
 
     user_urn = list(range(n_u))
     item_urn = list(range(n_i))
@@ -131,7 +132,7 @@ def generate_topology(
     bits = bytearray((n_u * n_i + 7) >> 3 if dense else 0)
     seen: set[int] = set()
     see, add_u, add_i = seen.add, user_urn.append, item_urn.append
-    ulen, ilen, stop = n_u, n_i, n_u + n_l
+    ulen, ilen, stop, draws = n_u, n_i, n_u + n_l, None
     while ulen < stop:
         draws = iter(rng.random(_URN_CHUNK).tolist())
         for bu, bi in zip(draws, draws):
@@ -155,8 +156,9 @@ def generate_topology(
             if ulen == stop:
                 break
 
-    return (np.asarray(user_urn[n_u:], dtype=np.int64),
-            np.asarray(item_urn[n_i:], dtype=np.int64))
+    del draws, bits, seen   # the last draw block and the duplicate check
+    return (np.array(user_urn, dtype=idx)[n_u:],
+            np.array(item_urn, dtype=idx)[n_i:])
 
 
 def generate_truth(spec: SynthSpec, rng: np.random.Generator) -> SynthTruth:
@@ -169,7 +171,7 @@ def generate_truth(spec: SynthSpec, rng: np.random.Generator) -> SynthTruth:
 
 def _round_half_away(x: np.ndarray) -> np.ndarray:
     # np.round would round halves to even
-    return np.sign(x) * np.floor(np.abs(x) + 0.5)
+    return np.copysign(np.floor(np.abs(x) + 0.5), x)
 
 
 def generate_ratings(
@@ -193,15 +195,14 @@ def generate_ratings(
     """
     if case not in CASES:
         raise ValueError(f"case must be one of {CASES}")
-    users, items = edges
-    users = np.asarray(users, dtype=np.int64)
-    items = np.asarray(items, dtype=np.int64)
+    users, items = map(_node_indices, edges)
     if users.size and (users.max() >= truth.num_users
                        or items.max() >= truth.num_items):
         raise ValueError("edge index out of range for the given truth")
 
-    raw = (truth.intrinsic_quality[items]
-           + rng.standard_normal(users.size) * truth.error_magnitude[users])
+    raw = rng.standard_normal(users.size)
+    raw *= truth.error_magnitude[users]
+    raw += truth.intrinsic_quality[items]
     coins = rng.random(users.size) < 0.5
 
     ratings = np.clip(_round_half_away(raw), 1.0, 5.0)
@@ -209,7 +210,7 @@ def generate_ratings(
         lo, hi, low_val, high_val = _BANDS[case]
         band = (raw >= lo) & (raw <= hi)
         ratings[band] = np.where(coins[band], low_val, high_val)
-
+    del raw, coins      # build's sort holds four link-length arrays of its own
     return RatingGraph.build(truth.num_users, truth.num_items,
                              users, items, ratings)
 
@@ -241,8 +242,8 @@ def _compact(edges: tuple, truth: SynthTruth) -> tuple[tuple, SynthTruth]:
     keep_i = np.bincount(items, minlength=truth.num_items) > 0
     if keep_u.all() and keep_i.all():
         return edges, truth
-    new_u = np.cumsum(keep_u) - 1
-    new_i = np.cumsum(keep_i) - 1
+    new_u = np.cumsum(keep_u, dtype=users.dtype) - 1
+    new_i = np.cumsum(keep_i, dtype=items.dtype) - 1
     return ((new_u[users], new_i[items]),
             SynthTruth(truth.intrinsic_quality[keep_i],
                        truth.error_magnitude[keep_u]))

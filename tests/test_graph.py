@@ -11,6 +11,7 @@ from reprank.graph import (FORMATS, MOVIELENS, BenchmarkSet,
                            write_ratings_csv)
 from reprank.projection import ProjectionParams, project_graph
 from reprank.ranking import RankingConfig, rank
+from reprank.synth import SynthTruth, generate_ratings
 
 
 def small_graph():
@@ -86,6 +87,45 @@ def test_build_stores_int64_nodes_from_2_31_nodes_on():
     g = RatingGraph.build(2, 2**31, [1, 0], [2**31 - 1, 5], [3.0, 4.0])
     assert g.users.dtype == g.items.dtype == np.int64
     assert g.items.tolist() == [5, 2**31 - 1]
+
+
+@pytest.mark.parametrize("users, items", [
+    ([0.5, 1.9], [0, 1.2]),                     # truncated to 0, 1 before
+    ([0, 1], [0.0, 1.0]),                       # integral floats too
+    ([True, False], [0, 1]),                    # passed as 1, 0 before
+    (np.array([0, 1], dtype=object), [0, 1]),
+])
+def test_node_indices_must_be_integers(users, items):
+    with pytest.raises(ValueError, match="node indices must be integers"):
+        RatingGraph.build(2, 2, users, items, [3, 4])
+    truth = SynthTruth(np.full(2, 3.0), np.ones(2))
+    with pytest.raises(ValueError, match="node indices must be integers"):
+        generate_ratings((users, items), truth, 0, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.uint8,
+                                   np.uint32, np.uint64])
+def test_any_integer_index_dtype_builds_the_same_graph(dtype):
+    users, items = [2, 0, 1, 0], [1, 1, 0, 0]
+    g = RatingGraph.build(3, 2, np.array(users, dtype=dtype),
+                          np.array(items, dtype=dtype), [1, 2, 3, 4])
+    assert g.equals(RatingGraph.build(3, 2, users, items, [1, 2, 3, 4]))
+    assert g.users.dtype == g.items.dtype == np.int32
+
+
+@pytest.mark.parametrize("ratings", [
+    np.random.default_rng(0).integers(1, 6, 500).astype(np.float64),
+    np.random.default_rng(1).choice([1.0, 1.5, 2.25, 4.75, 5.0], 500),
+    np.random.default_rng(2).uniform(1.0, 5.0, 500),    # > 256 classes
+])
+def test_rating_classes_match_unique_with_inverse(ratings):
+    g = RatingGraph.build(500, 1, np.arange(500), np.zeros(500, int), ratings)
+    values, labels = np.unique(g.ratings, return_inverse=True)
+    classes = g.rating_classes
+    assert np.array_equal(classes.values, values)
+    assert np.array_equal(classes.labels, labels)
+    assert classes.labels.dtype == (np.uint8 if values.size <= 256
+                                    else np.intp)
 
 
 def test_copies_share_the_node_index_arrays():

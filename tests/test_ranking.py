@@ -693,6 +693,47 @@ def test_pair_keys_do_not_wrap_at_32_bits():
     assert np.array_equal(q, ratings)
 
 
+def test_merged_groupings_share_the_identity_ones():
+    g, _ = generate_network(SynthSpec(300, 200, 6000, seed=3))
+    cells = [project_classes(g.rating_classes, ProjectionParams(*p))
+             for p in ((0.5, 0.5), (0.0, 0.5), (1.0, 1.0))]
+    assert len({id(c.cache) for c in cells}) == 3   # identity, two merges
+    sides = [side for c in cells for side in ranking._operators(g, c)]
+    ones = g.rating_classes.cache["ones"]
+    assert all(side.pairs.data is ones for side in sides)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_blocked_penalty_equals_the_one_shot_gather(k):
+    # item 0 has more raters than a block holds, and many other items
+    # straddle multiples of ranking._BLOCK in the item-ordered links
+    rng = np.random.default_rng(k)
+    n_u, n_i = 70_000, 300
+    a = rng.integers(1, n_i, n_u)                     # two distinct items
+    b = 1 + (a - 1 + rng.integers(1, n_i - 1, n_u)) % (n_i - 1)   # past 0
+    users = np.repeat(np.arange(n_u), 3)
+    items = np.column_stack([np.zeros(n_u, int), a, b]).ravel()
+    g = RatingGraph.build(n_u, n_i, users, items,
+                          rng.integers(1, 6, users.size).astype(np.float64))
+    cells = [project_classes(g.rating_classes, ProjectionParams(p, 1 - p))
+             for p in np.linspace(0.2, 0.8, k)]
+    cols = ranking._Columns(g, cells)
+    raters = cols.items.pairs.indices
+    starts = cols.items.pairs.indptr[cols.items.nodes.indptr]
+    edges = np.arange(ranking._BLOCK, raters.size, ranking._BLOCK)
+    assert starts[1] > ranking._BLOCK and edges.size > 1
+    assert np.isin(edges, starts, invert=True).all()
+
+    rep = rng.random((k, n_u)) * (rng.random((k, n_u)) > 0.2)   # below 1
+    q = rng.uniform(1.0, 5.0, (k, n_i))
+    top = np.array([np.maximum.reduceat(r.take(raters), starts[:-1])
+                    for r in rep])
+    expected = q.copy()
+    expected[top > 0] *= top[top > 0]
+    blocked, _ = ranking._rr_step(RankingConfig(), cols, q.copy(), rep)
+    assert np.array_equal(blocked, expected)
+
+
 @pytest.mark.parametrize("algorithm, built", [
     ("mean", set()), ("ir", {"vu", "nv2"}), ("cr", {"vu", "rating_side"}),
     ("rr", {"vu", "rating_side", "damping"})])
