@@ -6,7 +6,7 @@ from .graph import (BenchmarkSet, IdMap, IngestError, IngestResult,
 from .metrics import (Correlation, RankingScore, quality_ranks,
                       ranking_score, reputation_error_correlation,
                       top_fraction_benchmark)
-from .projection import ProjectionParams, project_graph, project_rating
+from .projection import ProjectionParams, project_graph
 from .ranking import ALGORITHMS, RankingConfig, RankingResult, rank
 from .sweep import (Optimum, RealSource, SweepGrid, SynthSource, TableRow,
                     compare_table, find_optimum, grid_values, run_sweep)
@@ -24,8 +24,7 @@ __all__ = [
     "TableRow", "TruthFormatError", "compare_table", "find_optimum",
     "generate_network", "generate_ratings", "generate_topology",
     "generate_truth", "grid_values", "ingest_ratings",
-    "inject_spam", "load_benchmark", "project_graph", "project_rating",
-    "quality_ranks", "rank",
+    "inject_spam", "load_benchmark", "project_graph", "quality_ranks", "rank",
     "ranking_score", "read_truth", "reputation_error_correlation",
     "run_sweep", "top_fraction_benchmark", "write_ratings_csv", "write_truth",
 ]

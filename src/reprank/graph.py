@@ -82,19 +82,18 @@ class RatingGraph:
         """Sorts the links on the int64 key user * num_items + item (needs
         num_users * num_items < 2**63); equal keys (duplicate pairs) end up
         adjacent. Nodes are int32 if both counts are < 2**31, else int64."""
-        if int(num_users) * int(num_items) >= 2**63:
-            raise ValueError("num_users * num_items must be below 2**63")
+        _require(int(num_users) * int(num_items) < 2**63,
+                 "num_users * num_items must be below 2**63")
         users, items = map(_node_indices, (users, items))
         ratings = np.asarray(ratings, dtype=np.float64)
-        if not (users.shape == items.shape == ratings.shape) or users.ndim != 1:
-            raise ValueError("users, items and ratings must be 1-D and equally long")
-        if num_users < 0 or num_items < 0:
-            raise ValueError("negative node count")
-        if users.size:
-            if users.min() < 0 or users.max() >= num_users:
-                raise ValueError("user index out of range")
-            if items.min() < 0 or items.max() >= num_items:
-                raise ValueError("item index out of range")
+        _require(users.shape == items.shape == ratings.shape
+                 and users.ndim == 1,
+                 "users, items and ratings must be 1-D and equally long")
+        _require(num_users >= 0 and num_items >= 0, "negative node count")
+        for side, a, n in (("user", users, num_users),
+                           ("item", items, num_items)):
+            _require(not a.size or 0 <= a.min() and a.max() < n,
+                     f"{side} index out of range")
         _check_rating_bounds(ratings)
 
         order = np.argsort(users.astype(np.int64) * num_items + items)
@@ -145,22 +144,28 @@ class RatingGraph:
     def with_ratings(self, ratings: np.ndarray) -> "RatingGraph":
         """Copy of this graph with new link weights and none of its caches."""
         ratings = np.asarray(ratings, dtype=np.float64)
-        if ratings.shape != self.ratings.shape:
-            raise ValueError("ratings length must match link count")
+        _require(ratings.shape == self.ratings.shape,
+                 "ratings length must match link count")
         _check_rating_bounds(ratings)
         ratings = ratings.copy()
         ratings.setflags(write=False)
         return replace(self, ratings=ratings)
 
-    def equals(self, other: "RatingGraph") -> bool:
-        """Exact equality: same shape, same links, bit-equal ratings."""
-        return (
-            self.num_users == other.num_users
-            and self.num_items == other.num_items
-            and np.array_equal(self.users, other.users)
-            and np.array_equal(self.items, other.items)
-            and np.array_equal(self.ratings, other.ratings)
-        )
+
+def _require(cond: bool, message: str) -> None:
+    if not cond:
+        raise ValueError(message)
+
+
+def _is_int(v) -> bool:
+    """A Python or numpy integer, not a bool."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    """A Python or numpy integer or float, not a bool."""
+    return (isinstance(v, (int, float, np.integer, np.floating))
+            and not isinstance(v, bool))
 
 
 def _node_indices(a) -> np.ndarray:
@@ -189,8 +194,7 @@ class IdMap:
     def from_ids(cls, ids: Iterable[str]) -> "IdMap":
         ids = tuple(ids)
         index = {ext: i for i, ext in enumerate(ids)}
-        if len(index) != len(ids):
-            raise ValueError("external ids must be unique")
+        _require(len(index) == len(ids), "external ids must be unique")
         return cls(ids, index)
 
     def __len__(self) -> int:
@@ -216,10 +220,9 @@ class BenchmarkSet:
     item_indices: frozenset[int]
 
     def __post_init__(self):
-        if not self.item_indices:
-            raise ValueError("empty benchmark set")
-        if any(i < 0 for i in self.item_indices):
-            raise ValueError("negative item index in benchmark set")
+        _require(len(self.item_indices) > 0, "empty benchmark set")
+        _require(min(self.item_indices) >= 0,
+                 "negative item index in benchmark set")
 
     @property
     def size(self) -> int:
@@ -272,8 +275,8 @@ def ingest_ratings(source: str | Path | TextIO, fmt: str = GENERIC_CSV) -> Inges
     order of first appearance. A file without rating records, an empty id,
     duplicate (user, item) records and ratings outside [1, 5] are errors.
     """
-    if fmt not in FORMATS:
-        raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+    _require(fmt in FORMATS,
+             f"unknown format {fmt!r}; expected one of {FORMATS}")
 
     user_index: dict[str, int] = {}
     item_index: dict[str, int] = {}

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graph import BenchmarkSet
+from .graph import BenchmarkSet, _is_real, _require
 
 
 @dataclass(frozen=True)
@@ -23,10 +23,9 @@ class RankingScore:
     benchmark_size: int
 
     def __post_init__(self):
-        if not 0.0 < self.value <= 1.0:
-            raise ValueError(f"ranking score {self.value:g} outside (0, 1]")
-        if self.benchmark_size < 1:
-            raise ValueError("benchmark_size must be >= 1")
+        _require(0.0 < self.value <= 1.0,
+                 f"ranking score {self.value:g} outside (0, 1]")
+        _require(self.benchmark_size >= 1, "benchmark_size must be >= 1")
 
 
 class Correlation(NamedTuple):
@@ -46,8 +45,8 @@ def quality_ranks(qualities: np.ndarray) -> np.ndarray:
 def _midranks(qualities, at) -> np.ndarray:
     """quality_ranks(qualities)[at], ranking only the entries at `at`."""
     q = np.asarray(qualities, dtype=np.float64)
-    if q.ndim != 1 or q.size == 0:
-        raise ValueError("qualities must be a non-empty 1-D vector")
+    _require(q.ndim == 1 and q.size > 0,
+             "qualities must be a non-empty 1-D vector")
     ordered, v = np.sort(q), q[at]          # NaN last, as searchsorted sees it
     rated = q.size - np.count_nonzero(np.isnan(ordered))
     left, right = (np.searchsorted(ordered, v, s) for s in ("left", "right"))
@@ -59,8 +58,7 @@ def _midranks(qualities, at) -> np.ndarray:
 def ranking_score(qualities: np.ndarray, benchmark: BenchmarkSet) -> RankingScore:
     """Mean normalized midrank of the benchmark items; in (0, 1]."""
     q, idx = np.asarray(qualities, dtype=np.float64), benchmark.sorted_indices()
-    if idx[-1] >= q.size:
-        raise ValueError("benchmark index out of range")
+    _require(idx[-1] < q.size, "benchmark index out of range")
     value = float(_midranks(q, idx).mean() / q.size)
     return RankingScore(value=value, benchmark_size=benchmark.size)
 
@@ -76,10 +74,9 @@ def reputation_error_correlation(
     """
     r = np.asarray(reputations, dtype=np.float64)
     e = np.asarray(true_errors, dtype=np.float64)
-    if r.shape != e.shape or r.ndim != 1:
-        raise ValueError("vectors must be 1-D of equal length")
-    if r.size < 2:
-        raise ValueError("need at least 2 points")
+    _require(r.shape == e.shape and r.ndim == 1,
+             "vectors must be 1-D of equal length")
+    _require(r.size >= 2, "need at least 2 points")
     if r.max() == r.min() or e.max() == e.min():
         return Correlation(0.0, True)
     dr = r - r.mean()
@@ -95,8 +92,8 @@ def top_fraction_benchmark(truth, fraction: float) -> BenchmarkSet:
     """Benchmark of the ceil(fraction * |O|) items with the largest
     intrinsic quality. Threshold ties break toward the smaller item index.
     """
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError(f"fraction {fraction:g} outside (0, 1]")
+    _require(_is_real(fraction), "fraction must be a number")
+    _require(0.0 < fraction <= 1.0, f"fraction {fraction:g} outside (0, 1]")
     q = np.asarray(truth.intrinsic_quality, dtype=np.float64)
     # the -1e-9 nudge absorbs float fuzz in fraction * M (e.g. 0.05 * 4000)
     n = int(np.ceil(fraction * q.size - 1e-9))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import RatingClasses, RatingGraph
+from .graph import RatingClasses, RatingGraph, _is_real, _require
 
 
 @dataclass(frozen=True)
@@ -27,23 +27,10 @@ class ProjectionParams:
 
     def __post_init__(self):    # floats, so float32 input maps in float64
         for name, v in (("p1", self.p1), ("p2", self.p2)):
-            if not (isinstance(v, (int, float, np.integer, np.floating))
-                    and not isinstance(v, bool) and np.isfinite(v)):
-                raise ValueError(f"{name} must be a finite number")
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name}={v:g} outside [0, 1]")
+            _require(_is_real(v) and np.isfinite(v),
+                     f"{name} must be a finite number")
+            _require(0.0 <= v <= 1.0, f"{name}={v:g} outside [0, 1]")
             object.__setattr__(self, name, float(v))
-
-
-def project_rating(rating: float, params: ProjectionParams) -> float:
-    """Remap a single rating. Exact comparison against the integer grid."""
-    if not (1.0 <= rating <= 5.0):
-        raise ValueError(f"rating out of bounds: {rating:g} not in [1, 5]")
-    if rating == 2.0:
-        return 1.0 + params.p1 * 2.0
-    if rating == 4.0:
-        return 3.0 + params.p2 * 2.0
-    return float(rating)
 
 
 def project_classes(classes: RatingClasses,

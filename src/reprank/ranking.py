@@ -41,7 +41,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import RatingGraph
+from .graph import RatingGraph, _is_int, _is_real, _require
 from .projection import ProjectionParams, project_classes
 
 ALGORITHMS = ("mean", "ir", "cr", "rr")
@@ -63,15 +63,13 @@ class RankingConfig:
                  f"unknown algorithm {self.algorithm!r}; "
                  f"expected one of {ALGORITHMS}")
         for name in ("beta", "epsilon", "theta", "delta"):
-            _require(not isinstance(getattr(self, name), (bool, np.bool_)),
-                     f"{name} must be a number, not a bool")
+            _require(_is_real(getattr(self, name)), f"{name} must be a number")
         _require(0 <= self.beta < np.inf, "beta must be finite and >= 0")
         _require(0 < self.epsilon < np.inf, "epsilon must be finite and > 0")
         _require(0 < self.theta < np.inf, "theta must be finite and > 0")
         _require(0 < self.delta < np.inf, "delta must be finite and > 0")
-        m = self.max_iterations
-        _require(isinstance(m, (int, np.integer)) and not isinstance(m, bool)
-                 and m >= 1, "max_iterations must be an integer >= 1")
+        _require(_is_int(self.max_iterations) and self.max_iterations >= 1,
+                 "max_iterations must be an integer >= 1")
 
 
 @dataclass(frozen=True)
@@ -81,11 +79,6 @@ class RankingResult:
     iterations_used: int
     converged: bool
     final_residual: float
-
-
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise ValueError(message)
 
 
 class _Side(NamedTuple):

@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .graph import BenchmarkSet, RatingGraph
+from .graph import BenchmarkSet, RatingGraph, _is_int, _is_real, _require
 from .metrics import (ranking_score, reputation_error_correlation,
                       top_fraction_benchmark)
 from .projection import ProjectionParams
@@ -33,8 +33,8 @@ DEFAULT_BENCHMARK_FRACTION = 0.05
 def grid_values(step: float = DEFAULT_GRID_STEP) -> tuple[float, ...]:
     """0, step, 2*step, ... capped at 1; rounding keeps exact decimals so
     the identity point 0.5 is representable when step divides it."""
-    if not 0.0 < step <= 1.0:
-        raise ValueError("grid step must be in (0, 1]")
+    _require(_is_real(step) and 0.0 < step <= 1.0,
+             "grid step must be in (0, 1]")
     values = []
     i = 0
     while i * step <= 1.0 + 1e-9:
@@ -55,9 +55,9 @@ class SynthSource:
     benchmark_fraction: float = DEFAULT_BENCHMARK_FRACTION
 
     def __post_init__(self):
-        if (isinstance(self.benchmark_fraction, (bool, np.bool_))
-                or not 0.0 < self.benchmark_fraction <= 1.0):
-            raise ValueError("benchmark_fraction must be in (0, 1]")
+        _require(_is_real(self.benchmark_fraction)
+                 and 0.0 < self.benchmark_fraction <= 1.0,
+                 "benchmark_fraction must be in (0, 1]")
 
     @property
     def tag(self) -> str:
@@ -74,8 +74,8 @@ class RealSource:
     tag: str = "real"
 
     def __post_init__(self):
-        if max(self.benchmark.item_indices) >= self.graph.num_items:
-            raise ValueError("benchmark item index out of range for the graph")
+        _require(max(self.benchmark.item_indices) < self.graph.num_items,
+                 "benchmark item index out of range for the graph")
 
 
 @dataclass(frozen=True)
@@ -93,16 +93,13 @@ class SweepGrid:
     def __post_init__(self):
         shape = (len(self.p1_values), len(self.p2_values))
         for name in ("mean", "std", "converged_frac"):
-            if getattr(self, name).shape != shape:
-                raise ValueError(f"{name} shape does not match grid")
-        if self.n_realizations < 1:
-            raise ValueError("n_realizations must be >= 1")
-        if (self.std < 0).any():
-            raise ValueError("negative standard deviation")
-        if self.n_realizations == 1 and self.std.any():
-            raise ValueError("std must be 0 with a single realization")
-        if self.metric not in METRICS:
-            raise ValueError(f"metric must be one of {METRICS}")
+            _require(getattr(self, name).shape == shape,
+                     f"{name} shape does not match grid")
+        _require(self.n_realizations >= 1, "n_realizations must be >= 1")
+        _require(not (self.std < 0).any(), "negative standard deviation")
+        _require(self.n_realizations > 1 or not self.std.any(),
+                 "std must be 0 with a single realization")
+        _require(self.metric in METRICS, f"metric must be one of {METRICS}")
 
     def cell(self, p1: float, p2: float) -> tuple[int, int]:
         """Grid coordinates of an exact (p1, p2) pair."""
@@ -159,28 +156,23 @@ def run_sweep(
     recorded, not discarded; the per-cell converged fraction reports them.
     The grid is reproducible from (source, config) regardless of `threads`.
     """
-    if metric not in METRICS:
-        raise ValueError(f"metric must be one of {METRICS}")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
+    _require(metric in METRICS, f"metric must be one of {METRICS}")
+    _require(_is_int(threads) and threads >= 1, "threads must be >= 1")
     p1s = tuple(p1_values) if p1_values is not None else grid_values()
     p2s = tuple(p2_values) if p2_values is not None else grid_values()
-    if not p1s or not p2s:
-        raise ValueError("empty grid")
+    _require(p1s and p2s, "empty grid")
     params = [ProjectionParams(p1, p2) for p1 in p1s for p2 in p2s]
 
-    if isinstance(source, RealSource):
-        if metric != "rs":
-            raise ValueError("real data carries no ground truth; only the "
-                             "rs metric applies")
-        if n_realizations not in (None, 1):
-            raise ValueError("real data is deterministic; n_realizations "
-                             "must be 1")
-        n_realizations = 1
-    elif n_realizations is None:
-        n_realizations = DEFAULT_REALIZATIONS
-    if n_realizations < 1:
-        raise ValueError("n_realizations must be >= 1")
+    real = isinstance(source, RealSource)
+    if n_realizations is None:
+        n_realizations = 1 if real else DEFAULT_REALIZATIONS
+    if real:
+        _require(metric == "rs", "real data carries no ground truth; only "
+                 "the rs metric applies")
+        _require(n_realizations == 1, "real data is deterministic; "
+                 "n_realizations must be 1")
+    _require(_is_int(n_realizations) and n_realizations >= 1,
+             "n_realizations must be >= 1")
     run = partial(_realization, source, config, params, metric)
     if threads == 1 or n_realizations == 1:
         results = list(map(run, range(n_realizations)))
@@ -210,8 +202,7 @@ def find_optimum(grid: SweepGrid) -> Optimum:
     magnitude, not the signed value, is what improves). Ties break toward
     the smallest p2, then the smallest p1.
     """
-    if not grid.converged_frac.any():
-        raise ValueError("every cell failed to converge")
+    _require(grid.converged_frac.any(), "every cell failed to converge")
     if grid.metric == "rs":
         score = grid.mean
     else:
@@ -237,12 +228,11 @@ def compare_table(grids: Sequence[SweepGrid]) -> list[TableRow]:
     Requires rs sweeps whose grid contains (0.5, 0.5); that makes
     projected <= original structural.
     """
-    if not grids:
-        raise ValueError("no sweeps provided")
+    _require(len(grids) > 0, "no sweeps provided")
     rows = []
     for grid in grids:
-        if grid.metric != "rs":
-            raise ValueError("comparison table is defined on rs sweeps")
+        _require(grid.metric == "rs",
+                 "comparison table is defined on rs sweeps")
         a, b = grid.cell(0.5, 0.5)
         opt = find_optimum(grid)
         rows.append(TableRow(

@@ -16,7 +16,8 @@ from typing import TextIO
 
 import numpy as np
 
-from .graph import RatingGraph, _node_indices, _open_text
+from .graph import (RatingGraph, _is_int, _is_real, _node_indices,
+                    _open_text, _require)
 
 CASES = (0, 1, 2, 3, 4)
 
@@ -51,22 +52,19 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool)
-                   for n in (self.num_users, self.num_items, self.num_links,
-                             self.seed)):
-            raise ValueError("num_users, num_items, num_links and seed must "
-                             "be integers")
-        if self.num_users < 1 or self.num_items < 1:
-            raise ValueError("need at least one user and one item")
-        if not 0 <= self.num_links <= self.num_users * self.num_items:
-            raise ValueError("num_links must be in [0, num_users * num_items]")
-        if isinstance(self.case, (bool, np.bool_)) or self.case not in CASES:
-            raise ValueError(f"case must be one of {CASES}")
-        if (isinstance(self.spam_fraction, (bool, np.bool_))
-                or not 0.0 <= self.spam_fraction <= 1.0):
-            raise ValueError("spam_fraction must be in [0, 1]")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        _require(all(map(_is_int, (self.num_users, self.num_items,
+                                   self.num_links, self.seed))),
+                 "num_users, num_items, num_links and seed must be integers")
+        _require(self.num_users >= 1 and self.num_items >= 1,
+                 "need at least one user and one item")
+        _require(0 <= self.num_links <= self.num_users * self.num_items,
+                 "num_links must be in [0, num_users * num_items]")
+        _require(_is_int(self.case) and self.case in CASES,
+                 f"case must be one of {CASES}")
+        _require(_is_real(self.spam_fraction)
+                 and 0.0 <= self.spam_fraction <= 1.0,
+                 "spam_fraction must be in [0, 1]")
+        _require(self.seed >= 0, "seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -79,14 +77,11 @@ class SynthTruth:
     def __post_init__(self):
         q = np.asarray(self.intrinsic_quality, dtype=np.float64)
         e = np.asarray(self.error_magnitude, dtype=np.float64)
-        if q.size == 0 or e.size == 0:
-            raise ValueError("empty truth")
-        if q.ndim != 1 or e.ndim != 1:
-            raise ValueError("truth vectors must be 1-D")
-        if not (np.isfinite(q).all() and np.isfinite(e).all()):
-            raise ValueError("truth vectors must be finite")
-        if e.min() < 0:
-            raise ValueError("error magnitudes must be >= 0")
+        _require(q.size > 0 and e.size > 0, "empty truth")
+        _require(q.ndim == 1 and e.ndim == 1, "truth vectors must be 1-D")
+        _require(np.isfinite(q).all() and np.isfinite(e).all(),
+                 "truth vectors must be finite")
+        _require(e.min() >= 0, "error magnitudes must be >= 0")
         q.setflags(write=False)
         e.setflags(write=False)
         object.__setattr__(self, "intrinsic_quality", q)
@@ -193,12 +188,11 @@ def generate_ratings(
     generated from the same seed differ across cases only in the
     discretization step.
     """
-    if case not in CASES:
-        raise ValueError(f"case must be one of {CASES}")
+    _require(_is_int(case) and case in CASES, f"case must be one of {CASES}")
     users, items = map(_node_indices, edges)
-    if users.size and (users.max() >= truth.num_users
-                       or items.max() >= truth.num_items):
-        raise ValueError("edge index out of range for the given truth")
+    _require(not users.size or (users.max() < truth.num_users
+                                and items.max() < truth.num_items),
+             "edge index out of range for the given truth")
 
     raw = rng.standard_normal(users.size)
     raw *= truth.error_magnitude[users]
@@ -220,8 +214,8 @@ def inject_spam(
 ) -> RatingGraph:
     """Replace floor(p * num_links) randomly chosen ratings with uniform
     random integers in {1..5}. Topology untouched."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("spam fraction must be in [0, 1]")
+    _require(_is_real(p) and 0.0 <= p <= 1.0,
+             "spam fraction must be in [0, 1]")
     # +1e-9 guards against p * L landing just below an exact integer
     n = int(np.floor(p * graph.num_links + 1e-9))
     if n == 0:
@@ -295,7 +289,12 @@ def read_truth(source: str | Path | TextIO) -> SynthTruth:
         e = payload["error_magnitude"]
     except KeyError as exc:
         raise TruthFormatError(f"truth file missing key {exc.args[0]!r}") from None
-    try:
-        return SynthTruth(q, e)
-    except TypeError:
-        raise TruthFormatError("truth vectors must hold numbers") from None
+    if not (_numbers(q) and _numbers(e)):
+        raise TruthFormatError("truth vectors must hold numbers")
+    return SynthTruth(q, e)
+
+
+def _numbers(v) -> bool:
+    """Whether every leaf of a parsed JSON value is a number, not a bool;
+    nested lists pass, for SynthTruth's 1-D check to name them."""
+    return all(map(_numbers, v)) if isinstance(v, list) else _is_real(v)

@@ -1,5 +1,5 @@
 """Random small graphs for tests, every user and item carrying >= 1 link,
-and the rankers' shared fixed point on one graph."""
+exact graph equality, and the rankers' shared fixed point on one graph."""
 
 import numpy as np
 
@@ -18,6 +18,14 @@ def random_bipartite(rng, max_users=50, max_items=20) -> RatingGraph:
     users, items = zip(*sorted(pairs))
     ratings = rng.integers(1, 6, size=len(pairs)).astype(np.float64)
     return RatingGraph.build(n_u, n_i, users, items, ratings)
+
+
+def equals(a: RatingGraph, b: RatingGraph) -> bool:
+    """Exact equality: same shape, same links, bit-equal ratings."""
+    return (a.num_users == b.num_users and a.num_items == b.num_items
+            and np.array_equal(a.users, b.users)
+            and np.array_equal(a.items, b.items)
+            and np.array_equal(a.ratings, b.ratings))
 
 
 def fixed_point(graph, config, **kw):

@@ -66,6 +66,18 @@ def oracle_topology(num_users, num_items, num_links, rng):
     return user_urn[n_u:], item_urn[n_i:]
 
 
+def project_rating(rating, params):
+    """The (p1, p2) projection of a single rating, by exact comparison
+    against the integer grid: 2 moves to 1 + 2*p1, 4 to 3 + 2*p2."""
+    if not (1.0 <= rating <= 5.0):
+        raise ValueError(f"rating out of bounds: {rating:g} not in [1, 5]")
+    if rating == 2.0:
+        return 1.0 + params.p1 * 2.0
+    if rating == 4.0:
+        return 3.0 + params.p2 * 2.0
+    return float(rating)
+
+
 def oracle_mean(links, num_items):
     _, by_item = _index(links)
     q = {}

@@ -128,6 +128,12 @@ class _Truth:
         self.intrinsic_quality = np.asarray(q, dtype=np.float64)
 
 
+def test_top_fraction_refuses_a_bool():
+    for bad in (True, np.bool_(True)):
+        with pytest.raises(ValueError, match="fraction must be a number"):
+            top_fraction_benchmark(_Truth([1.0, 2.0]), bad)
+
+
 def test_top_fraction_benchmark():
     truth = _Truth([1.0, 5.0, 3.0, 4.0, 2.0])
     assert top_fraction_benchmark(truth, 0.4).item_indices == frozenset({1, 3})

@@ -48,6 +48,12 @@ def grid_of(mean, p1v, p2v, metric="rs", conv=None, n=1):
                      n_realizations=n, metric=metric, algorithm="cr", tag="t")
 
 
+def test_grid_values_refuse_a_bool():
+    for bad in (True, np.bool_(True)):
+        with pytest.raises(ValueError, match="grid step"):
+            grid_values(bad)
+
+
 def test_sweep_grid_validation():
     with pytest.raises(ValueError, match="shape"):
         grid_of([[0.1, 0.2]], (0.0,), (0.0,))
@@ -92,6 +98,31 @@ def test_run_sweep_validation():
         run_sweep(src, CR, p1_values=(1.5,), p2_values=(0.5,))
     with pytest.raises(ValueError, match="empty grid"):
         run_sweep(src, CR, p1_values=(), p2_values=(0.5,))
+
+
+@pytest.mark.parametrize("kw, message", [
+    ({"threads": 2.5}, "threads must be >= 1"),
+    ({"threads": True}, "threads must be >= 1"),
+    ({"threads": np.float64(2)}, "threads must be >= 1"),
+    ({"n_realizations": True}, "n_realizations must be >= 1"),
+    ({"n_realizations": 2.0}, "n_realizations must be >= 1"),
+    ({"n_realizations": "2"}, "n_realizations must be >= 1"),
+], ids=["threads-float", "threads-bool", "threads-numpy-float",
+        "realizations-bool", "realizations-float", "realizations-str"])
+def test_run_sweep_refuses_counts_that_are_not_integers(monkeypatch, kw,
+                                                         message):
+    def realization(*args):
+        raise AssertionError("a realization ran")
+    monkeypatch.setattr("reprank.sweep._realization", realization)
+    with pytest.raises(ValueError, match=message):
+        run_sweep(SynthSource(TINY), CR, p1_values=(0.5,), p2_values=(0.5,),
+                  **kw)
+
+
+def test_real_sweep_refuses_a_bool_or_float_count():
+    for n in (True, 1.0):
+        with pytest.raises(ValueError, match="n_realizations must be >= 1"):
+            run_sweep(hand_real_source(), CR, n_realizations=n)
 
 
 def hand_real_source():

@@ -11,6 +11,7 @@ from reprank.synth import (CASES, SynthSpec, SynthTruth, TruthFormatError,
                            generate_ratings, generate_topology, generate_truth,
                            inject_spam, read_truth, write_truth)
 from reprank.graph import RatingGraph
+from nets import equals
 from oracle import oracle_topology
 
 
@@ -231,6 +232,20 @@ def test_generate_ratings_validates_edges():
                          np.random.default_rng(0))
 
 
+def test_spec_refuses_a_float_case():
+    for case in (2.0, np.float64(1)):
+        with pytest.raises(ValueError, match="case must be"):
+            SynthSpec(30, 20, 100, case=case)
+
+
+def test_generate_ratings_refuses_what_the_spec_refuses():
+    truth = SynthTruth([3.0], [0.5])
+    edges = (np.array([0]), np.array([0]))
+    for case in (True, np.bool_(True), 1.0):
+        with pytest.raises(ValueError, match="case must be"):
+            generate_ratings(edges, truth, case, np.random.default_rng(0))
+
+
 def desk_graph(seed=0):
     spec = SynthSpec(num_users=600, num_items=400, num_links=48_000)
     rng = np.random.default_rng(np.random.SeedSequence([1234, seed]))
@@ -251,6 +266,13 @@ def test_spam_noop():
     assert inject_spam(g, 0.0, np.random.default_rng(1)) is g
     with pytest.raises(ValueError):
         inject_spam(g, 1.2, np.random.default_rng(1))
+
+
+def test_spam_refuses_a_bool_fraction():
+    g = RatingGraph.build(2, 2, [0, 1], [0, 1], [1.0, 5.0])
+    for p in (True, np.bool_(True), False):
+        with pytest.raises(ValueError, match="spam fraction"):
+            inject_spam(g, p, np.random.default_rng(1))
 
 
 def test_spam_injection():
@@ -315,7 +337,7 @@ def test_generate_network_matches_staged_reference(case, spam):
         spec = SynthSpec(*shape, case=case, spam_fraction=spam, seed=11 + case)
         g, t = generate_network(spec)
         ref, ref_truth = staged_network(spec)
-        assert g.equals(ref)
+        assert equals(g, ref)
         assert np.array_equal(t.intrinsic_quality, ref_truth.intrinsic_quality)
         assert np.array_equal(t.error_magnitude, ref_truth.error_magnitude)
         if shape[2] < 200:
@@ -337,7 +359,7 @@ def test_generate_network_deterministic():
                      case=3, spam_fraction=0.2, seed=77)
     g1, t1 = generate_network(spec)
     g2, t2 = generate_network(spec)
-    assert g1.equals(g2)
+    assert equals(g1, g2)
     assert np.array_equal(t1.intrinsic_quality, t2.intrinsic_quality)
     assert np.array_equal(t1.error_magnitude, t2.error_magnitude)
 
@@ -387,4 +409,12 @@ def test_read_truth_errors():
     with pytest.raises(TruthFormatError, match="numbers"):
         read_truth(io.StringIO(json.dumps(
             {"intrinsic_quality": {"a": 1}, "error_magnitude": [1.0]})))
+    for q, e in (([1, "a"], [1.0]), ([1.0], [True]), ([1.0], [None]),
+                 ([[1.0], ["a"]], [1.0]), ("3", [1.0])):
+        with pytest.raises(TruthFormatError, match="numbers"):
+            read_truth(io.StringIO(json.dumps(
+                {"intrinsic_quality": q, "error_magnitude": e})))
+    with pytest.raises(ValueError, match="finite"):
+        read_truth(io.StringIO(
+            '{"intrinsic_quality": [NaN], "error_magnitude": [1.0]}'))
     assert issubclass(TruthFormatError, ValueError)
