@@ -9,6 +9,7 @@ over the item index of each link.
 
 from __future__ import annotations
 
+import sys
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -44,6 +45,10 @@ class RatingClasses(NamedTuple):
     values: np.ndarray
     labels: np.ndarray
     cache: dict
+
+    @staticmethod
+    def _label_dtype(n_classes: int) -> type:
+        return np.uint8 if n_classes <= 256 else np.intp
 
 
 class DuplicatePairError(ValueError):
@@ -82,6 +87,8 @@ class RatingGraph:
         """Sorts the links on the int64 key user * num_items + item (needs
         num_users * num_items < 2**63); equal keys (duplicate pairs) end up
         adjacent. Nodes are int32 if both counts are < 2**31, else int64."""
+        _require(_is_int(num_users) and _is_int(num_items),
+                 "num_users and num_items must be integers")
         _require(int(num_users) * int(num_items) < 2**63,
                  "num_users * num_items must be below 2**63")
         users, items = map(_node_indices, (users, items))
@@ -134,12 +141,12 @@ class RatingGraph:
 
     @cached_property
     def rating_classes(self) -> RatingClasses:
-        """The links grouped by rating, built on first use; this graph's
-        alone, as `with_ratings` copies group their own."""
+        """The links grouped by rating, built on first use, or the equal
+        grouping a `project_graph` copy starts with."""
         values = np.unique(self.ratings)
         labels = np.searchsorted(values, self.ratings)
         return RatingClasses(values, labels.astype(
-            np.uint8 if values.size <= 256 else np.intp, copy=False), {})
+            RatingClasses._label_dtype(values.size), copy=False), {})
 
     def with_ratings(self, ratings: np.ndarray) -> "RatingGraph":
         """Copy of this graph with new link weights and none of its caches."""
@@ -163,9 +170,11 @@ def _is_int(v) -> bool:
 
 
 def _is_real(v) -> bool:
-    """A Python or numpy integer or float, not a bool."""
+    """A Python or numpy integer or float, not a bool, nor a Python integer
+    beyond the largest float."""
     return (isinstance(v, (int, float, np.integer, np.floating))
-            and not isinstance(v, bool))
+            and not isinstance(v, bool)
+            and not (isinstance(v, int) and abs(v) > sys.float_info.max))
 
 
 def _node_indices(a) -> np.ndarray:

@@ -38,7 +38,8 @@ def project_classes(classes: RatingClasses,
     """A projection's rating classes, from its source's: the source's own
     where no value moves; in O(classes) with the source's grouping and cache
     where no two classes merge; a merge (p1 or p2 at 0 or 1) regroups the
-    links once, kept in the source's cache."""
+    links once, kept in the source's cache with a cache of its own whose
+    "root" is the cache of the grouping the chain of merges started from."""
     values = classes.values.copy()
     values[classes.values == 2.0] = 1.0 + params.p1 * 2.0
     values[classes.values == 4.0] = 3.0 + params.p2 * 2.0
@@ -49,15 +50,18 @@ def project_classes(classes: RatingClasses,
     values, remap = np.unique(values, return_inverse=True)
     key = remap.tobytes()
     if key not in classes.cache:
-        labels = remap.astype(classes.labels.dtype)[classes.labels]
-        classes.cache[key] = labels, {}
+        dtype = classes._label_dtype(values.size)
+        classes.cache[key] = remap.astype(dtype)[classes.labels], {
+            "root": classes.cache.get("root", classes.cache)}
     return RatingClasses(values, *classes.cache[key])
 
 
 def project_graph(graph: RatingGraph, params: ProjectionParams) -> RatingGraph:
-    """Remap all link weights of a graph, as a `with_ratings` copy. One that
-    moves no rating (the identity on any graph, or any projection of a graph
-    without ratings 2 and 4) returns the source graph itself."""
+    """Remap all link weights, as a `with_ratings` copy holding the projected
+    classes; one that moves no rating (the identity, or any projection of a
+    graph without ratings 2 and 4) returns the source graph itself."""
     classes = project_classes(graph.rating_classes, params)
-    return (graph if classes is graph.rating_classes
-            else graph.with_ratings(classes.values.take(classes.labels)))
+    if classes is not graph.rating_classes:
+        graph = graph.with_ratings(classes.values.take(classes.labels))
+        vars(graph)["rating_classes"] = classes     # as it would group itself
+    return graph

@@ -115,14 +115,14 @@ def _side(node, n_nodes, other, n_other, classes, ones) -> _Side:
 
 def _operators(g: RatingGraph, classes) -> tuple[_Side, _Side]:
     """The item and user sides of `classes`' grouping of g's links, built
-    once per grouping after the coverage check; one ones array per graph."""
+    once per grouping after the coverage check; one ones array per root."""
     if "operators" not in classes.cache:
         _require(g.num_links > 0, "the graph has no ratings")
         _require((g.user_degrees > 0).all(),
                  "every user must have rated at least one item")
         _require(np.bincount(g.items, minlength=g.num_items).all(),
                  "every item must have at least one rating")
-        if "ones" not in (cache := g.rating_classes.cache):
+        if "ones" not in (cache := classes.cache.get("root", classes.cache)):
             cache["ones"] = np.ones(g.num_links)
         sides = ((g.items, g.num_items, g.users, g.num_users),
                  (g.users, g.num_users, g.items, g.num_items))

@@ -291,10 +291,13 @@ def read_truth(source: str | Path | TextIO) -> SynthTruth:
         raise TruthFormatError(f"truth file missing key {exc.args[0]!r}") from None
     if not (_numbers(q) and _numbers(e)):
         raise TruthFormatError("truth vectors must hold numbers")
+    if not all(isinstance(v, list) and not any(isinstance(x, list) for x in v)
+               for v in (q, e)):
+        raise TruthFormatError("truth vectors must be 1-D")
     return SynthTruth(q, e)
 
 
 def _numbers(v) -> bool:
     """Whether every leaf of a parsed JSON value is a number, not a bool;
-    nested lists pass, for SynthTruth's 1-D check to name them."""
+    nested lists pass, for read_truth's 1-D check to name them."""
     return all(map(_numbers, v)) if isinstance(v, list) else _is_real(v)

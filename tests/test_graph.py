@@ -64,6 +64,16 @@ def test_build_rejects_bad_input():
         RatingGraph.build(2, 2, [0, 1, 1], [0, 0, 0], [3, 4, 5])
 
 
+@pytest.mark.parametrize("num_users, num_items", [
+    (2.5, 2), (True, 2), (np.float64(2.0), 2), (2, 2.0), (2, np.bool_(True)),
+    ("2", 2)], ids=["float", "bool", "np-float", "float-items",
+                    "np-bool-items", "str"])
+def test_build_refuses_counts_that_are_not_integers(num_users, num_items):
+    with pytest.raises(ValueError,
+                       match="num_users and num_items must be integers"):
+        RatingGraph.build(num_users, num_items, [0, 1], [0, 0], [1, 2])
+
+
 def _shuffled_links(rng, n_u, n_i, n_l):
     keys = rng.choice(n_u * n_i, size=n_l, replace=False)
     ratings = rng.integers(1, 6, size=n_l).astype(np.float64)

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 import reprank
-from reprank import (RankingConfig, RatingGraph, SynthSource, SynthSpec,
-                     SynthTruth, generate_ratings, grid_values, inject_spam,
-                     top_fraction_benchmark)
+from reprank import (ProjectionParams, RankingConfig, RatingGraph,
+                     SynthSource, SynthSpec, SynthTruth, generate_ratings,
+                     grid_values, inject_spam, top_fraction_benchmark)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -80,10 +80,17 @@ _EDGES = (np.array([0, 1]), np.array([0, 1]))
     (lambda: generate_ratings(_EDGES, _TRUTH, "1", np.random.default_rng(0)),
      "case must be one of"),
     (lambda: grid_values("0.5"), "grid step must be in"),
+    # Python integers beyond the largest float are no numbers either
+    (lambda: ProjectionParams(10**400), "p1 must be a finite number"),
+    (lambda: RankingConfig(beta=10**400), "beta must be a number"),
+    (lambda: ProjectionParams(0.5, -10**400), "p2 must be a finite number"),
+    (lambda: RankingConfig(delta=10**400), "delta must be a number"),
 ], ids=["config-delta-str", "config-delta-none", "config-max-iter-str",
         "spec-spam-str", "spec-case-str",
         "source-fraction-str", "top-fraction-str", "top-fraction-none",
-        "spam-str", "ratings-case-str", "grid-step-str"])
+        "spam-str", "ratings-case-str", "grid-step-str",
+        "params-p1-huge-int", "params-p2-huge-int", "config-beta-huge-int",
+        "config-delta-huge-int"])
 def test_non_numbers_raise_value_error(call, message):
     with pytest.raises(ValueError, match=message):
         call()

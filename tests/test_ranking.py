@@ -702,6 +702,77 @@ def test_merged_groupings_share_the_identity_ones():
     assert all(side.pairs.data is ones for side in sides)
 
 
+def test_projected_copies_build_operators_once_per_grouping(monkeypatch):
+    # a project_graph copy ranks on the grouping its projection derived from
+    # the source's: operators are built for a grouping only the first time
+    # any copy ranks on it, and every grouping's rest on the source's ones
+    built, side = [], ranking._side
+    monkeypatch.setattr(ranking, "_side",
+                        lambda *a: built.append(1) or side(*a))
+    g = random_bipartite(np.random.default_rng(37))
+    assert set(g.ratings) == {1.0, 2.0, 3.0, 4.0, 5.0}
+    config = RankingConfig(algorithm="cr")
+    rank(g, config)
+    assert len(built) == 2                      # the item and user sides
+    copies = []
+    for p, new in (((0.3, 0.7), 0), ((0.3, 0.7), 0), ((1.0, 0.0), 2),
+                   ((1.0, 0.0), 0), ((0.8, 0.2), 0), ((0.0, 0.5), 2)):
+        copies.append(project_graph(g, ProjectionParams(*p)))
+        before = len(built)
+        rank(copies[-1], config)
+        assert len(built) - before == new, p
+    # a merge of a merge: 2 into 1, then 4 into 5, once and again
+    for _ in range(2):
+        copies.append(project_graph(copies[5], ProjectionParams(0.5, 1.0)))
+        rank(copies[-1], config)
+    assert len(built) == 8
+    root = g.rating_classes.cache
+    for h in copies:
+        classes = h.rating_classes
+        assert classes.cache is root or "ones" not in classes.cache
+        for s in ranking._operators(h, classes):
+            assert s.pairs.data is root["ones"]
+
+
+# each pair: a merge of a merge, a merge after a projection that keeps the
+# classes apart, a move after a merge, and two moves
+TWICE = [(first, second)
+         for first in ((0.0, 0.5), (1.0, 0.5), (0.3, 0.5), (0.5, 0.25))
+         for second in ((0.5, 0.0), (0.5, 1.0), (0.8, 0.5), (0.0, 1.0))]
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_projections_of_projected_copies_group_as_fresh_graphs(algorithm):
+    config = RankingConfig(algorithm=algorithm, delta=1e-12,
+                           max_iterations=40)
+    rng = np.random.default_rng(39)
+    for _ in range(6):
+        g = random_bipartite(rng)
+        for first, second in TWICE:
+            h = project_graph(project_graph(g, ProjectionParams(*first)),
+                              ProjectionParams(*second))
+            fresh = same_links(g, h.ratings)
+            seeded, built = h.rating_classes, fresh.rating_classes
+            assert np.array_equal(seeded.values, built.values)
+            assert np.array_equal(seeded.labels, built.labels)
+            assert seeded.labels.dtype == built.labels.dtype
+            assert_identical(rank(h, config), rank(fresh, config))
+
+
+def test_a_merge_to_256_classes_labels_as_a_fresh_graph_does():
+    # 258 classes, 2 and 4 among them, merge to 256: a fresh graph labels
+    # them in uint8, and so must the grouping derived from the source's
+    values = np.r_[1.0:6.0, 1.0 + (np.arange(253) + 0.5) / 64]
+    n = values.size
+    g = RatingGraph.build(2, n, np.arange(n) % 2, np.arange(n), values)
+    assert g.rating_classes.labels.dtype == np.intp
+    h = project_graph(g, ProjectionParams(0.0, 0.0))
+    fresh = same_links(g, h.ratings).rating_classes
+    assert fresh.values.size == 256 and fresh.labels.dtype == np.uint8
+    assert h.rating_classes.labels.dtype == np.uint8
+    assert np.array_equal(h.rating_classes.labels, fresh.labels)
+
+
 @pytest.mark.parametrize("k", [1, 3])
 def test_blocked_penalty_equals_the_one_shot_gather(k):
     # item 0 has more raters than a block holds, and many other items

@@ -402,15 +402,16 @@ def test_read_truth_errors():
     with pytest.raises(ValueError, match="empty truth"):
         read_truth(io.StringIO(json.dumps(
             {"intrinsic_quality": [], "error_magnitude": [1.0]})))
-    for q, e in ((3.0, [1.0]), ([[3.0]], [[1.0], [2.0]])):
-        with pytest.raises(ValueError, match="1-D"):
+    for q, e in ((3.0, [1.0]), ([[3.0]], [[1.0], [2.0]]),
+                 ([[1.0], [2.0, 3.0]], [1.0]), ([1.0], [1.0, [2.0]])):
+        with pytest.raises(TruthFormatError, match="1-D"):
             read_truth(io.StringIO(json.dumps(
                 {"intrinsic_quality": q, "error_magnitude": e})))
     with pytest.raises(TruthFormatError, match="numbers"):
         read_truth(io.StringIO(json.dumps(
             {"intrinsic_quality": {"a": 1}, "error_magnitude": [1.0]})))
     for q, e in (([1, "a"], [1.0]), ([1.0], [True]), ([1.0], [None]),
-                 ([[1.0], ["a"]], [1.0]), ("3", [1.0])):
+                 ([[1.0], ["a"]], [1.0]), ("3", [1.0]), ([10**400], [1.0])):
         with pytest.raises(TruthFormatError, match="numbers"):
             read_truth(io.StringIO(json.dumps(
                 {"intrinsic_quality": q, "error_magnitude": e})))
