@@ -16,7 +16,6 @@ import json
 import os
 import re
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -58,9 +57,10 @@ def _config_line(args) -> str:
 
 def _atomic_write(path: Path, write_body) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    tmp = path.parent / f".{path.name}.{os.urandom(6).hex()}"
+    fh = open(tmp, "x", encoding="utf-8")   # umask's mode; mkstemp's is 0600
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        with fh:
             write_body(fh)
         os.replace(tmp, path)
     except BaseException:

@@ -10,17 +10,17 @@ Four methods share one synchronous fixed-point schedule:
         rater reputation, capped at 1), a log-degree damping factor, and a
         nonlinear redistribution of reputation mass with exponent theta
 
-ir, cr and rr share one loop, `_fixed_point`. Each iteration weights the
-ratings by the previous reputations into item qualities (an item whose
-raters all carry zero reputation keeps its plain mean), then calls the
-algorithm's step(cfg, cols, q, rep) -> (q, rep) on the running columns'
-`_Columns` cols: it may adjust the qualities (rr's penalty) and returns
-the new reputations. Iteration stops when the mean squared change of the
-quality vector drops below delta; a step that yields a non-finite quality
-or reputation is an error. An item whose positive-reputation raters all
-gave rating r has quality exactly r before rr's penalty. Every ranker
-needs each user and item to carry a link (`_operators` raises ValueError
-otherwise).
+All four run in one driver, `_fixed_point`: mean returns its plain means,
+ir, cr and rr iterate. Each iteration weights the ratings by the previous
+reputations into item qualities (an item whose raters all carry zero
+reputation keeps its plain mean), then calls the algorithm's
+step(cfg, cols, q, rep) -> (q, rep) on the running columns' `_Columns` cols:
+it may adjust the qualities (rr's penalty) and returns the new reputations.
+Iteration stops when the mean squared change of the quality vector drops
+below delta; a step that yields a non-finite quality or reputation is an
+error. An item whose positive-reputation raters all gave rating r has
+quality exactly r before rr's penalty. Every ranker needs each user and item
+to carry a link (`_operators` raises ValueError otherwise).
 
 Sums run over (node, class) pairs, the classes being a graph's distinct
 ratings: `_operators` builds (item, class) pairs x users and (user, class)
@@ -109,6 +109,7 @@ def _side(node, n_nodes, other, n_other, classes, ones) -> _Side:
     starts = np.searchsorted(node[first], np.arange(n_nodes + 1)).astype(idx)
     nodes = sp.csr_array((ones[:first.size], np.arange(first.size, dtype=idx),
                           starts), shape=(n_nodes, first.size))
+    nodes.data = ones[:first.size]      # scipy copies the slice it is given
     return _Side(pairs, nodes, node[first], classes.labels[first],
                  np.diff(pairs.indptr).astype(np.float64))
 
@@ -193,34 +194,35 @@ def _residual(q, q_prev):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _fixed_point(cfg, graph, cells, trace=None, **kw) -> list:
-    """The schedule shared by ir, cr and rr: a RankingResult per rating
-    classes in `cells`, each a column, all grouping graph's links alike.
+def _fixed_point(cfg, graph, cells) -> list:
+    """The one place a RankingResult is made: one per rating classes in
+    `cells`, each a column, all grouping graph's links alike.
 
-    Each iteration computes the qualities q weighted by the previous
-    reputations, then takes its (qualities, reputations) from the step
-    _STEPS[cfg.algorithm](cfg, cols, q, rep, **kw), cols the live columns. A
+    mean's are the plain means, reputations all 1, as 1 converged iteration.
+    Each iteration of the others computes the qualities q weighted by the
+    previous reputations, then takes its (qualities, reputations) from the step
+    _STEPS[cfg.algorithm](cfg, cols, q, rep), cols the live columns. A
     non-finite value among them, such as an overflowing ir power, raises
     ValueError naming the algorithm and the iteration; numpy's overflow and
-    invalid warnings are off, as that check reports what they would. A
-    column stops once the residual between its consecutive qualities drops
-    below cfg.delta, or after cfg.max_iterations, and the rest run on a
-    rebuilt _Columns; with a single iteration the residual is unknown (inf),
-    so no column stops there alone. `trace`, if given, collects the first
-    column's (qualities, reputations) copies.
+    invalid warnings are off, as that check reports what they would. A column
+    stops once the residual between its consecutive qualities drops below
+    cfg.delta, or after cfg.max_iterations, and the rest run on a rebuilt
+    _Columns; with a single iteration the residual is unknown (inf), so no
+    column stops there alone.
     """
     name, K = cfg.algorithm, len(cells)
+    cols = _Columns(graph, cells)                       # checks the coverage
+    if name == "mean":
+        return [RankingResult(np.ones(graph.num_users), q.copy(), 1, True, 0.0)
+                for q in cols.plain]
     out, live = [None] * K, np.arange(K)
-    cols, step = _Columns(graph, cells), _STEPS[name]   # checks the coverage
     rep = np.tile(np.ones(graph.num_users) if name == "ir"
                   else graph.user_degrees / graph.num_items, (K, 1))
     for iterations in range(1, cfg.max_iterations + 1):
-        q, rep = step(cfg, cols, _weighted_quality(cols, rep), rep, **kw)
+        q, rep = _STEPS[name](cfg, cols, _weighted_quality(cols, rep), rep)
         if not (np.isfinite(q).all() and np.isfinite(rep).all()):
             raise ValueError(f"{name} iteration {iterations} gave a "
                              "non-finite quality or reputation")
-        if trace is not None:
-            trace.append((q[0].copy(), rep[0].copy()))
         res = _residual(q, q_prev) if iterations > 1 else np.full(K, np.inf)
         conv = res < cfg.delta
         end = conv | (iterations == cfg.max_iterations)
@@ -304,13 +306,33 @@ def _pearson(cols, q):
 
 
 def _cr_step(cfg, cols, q, rep):
-    """Kept as its own step rather than rr's with its switches off, so the
+    """Kept as its own step rather than a stripped rr's, so the
     claimed degeneracy (rr with both factors off and theta 1) stays a
     cross-check between two code paths."""
     return q, np.maximum(_pearson(cols, q), 0.0)
 
 
-def _rr_step(cfg, cols, q, rep, use_penalty=True, use_damping=True):
+def _rr_penalty(cols, q, rep):
+    """q scaled in place by min(1, top rater reputation), gathered a column and
+    about _BLOCK links of whole items at a time into one buffer ("clip" takes
+    without a copy), where positive: reputations are non-negative, so a zero
+    top rater leaves the plain mean standing."""
+    raters = cols.items.pairs.indices       # each item's, pair by pair
+    starts = cols.items.pairs.indptr[cols.items.nodes.indptr]  # and end
+    cut = np.unique(np.searchsorted(    # block k: items cut[k]:cut[k+1]
+        starts, np.r_[0:raters.size:_BLOCK, raters.size]))
+    at, penalty = starts[cut], np.empty_like(q)
+    buf = np.empty(np.diff(at).max())   # block k's links: at[k]:at[k+1]
+    for r, p in zip(rep, penalty):
+        for i, j, a, b in zip(cut[:-1], cut[1:], at[:-1], at[1:]):
+            np.take(r, raters[a:b], out=buf[:b - a], mode="clip")
+            np.maximum.reduceat(buf[:b - a], starts[i:j] - a, out=p[i:j])
+    pos = penalty > 0
+    q[pos] *= np.minimum(penalty[pos], 1.0)
+    return q
+
+
+def _rr_step(cfg, cols, q, rep):
     """rr's step; its trust is C-ordered, so a row sums as a lone vector.
 
     Quality is the reputation-weighted mean scaled by the penalty factor
@@ -320,28 +342,11 @@ def _rr_step(cfg, cols, q, rep, use_penalty=True, use_damping=True):
     factor would boost the items of the top user, whose trust is then
     measured against those boosted qualities. Trust is log-degree-damped
     Pearson correlation, clamped at 0; reputation mass is then
-    redistributed through the power theta. The switches exist only to
-    exercise the degenerate path: both off, theta 1 reproduces cr.
+    redistributed through the power theta. With the penalty and the
+    damping off, theta 1 reproduces cr.
     """
-    if use_penalty:
-        # the top rater reputation per item, a column and about _BLOCK links
-        # of whole items at a time into one buffer ("clip" takes without a
-        # copy); scaled only where the weighted mean applied: reputations are
-        # non-negative, so a zero top rater leaves the plain mean standing
-        raters = cols.items.pairs.indices       # each item's, pair by pair
-        starts = cols.items.pairs.indptr[cols.items.nodes.indptr]  # and end
-        cut = np.unique(np.searchsorted(    # block k: items cut[k]:cut[k+1]
-            starts, np.r_[0:raters.size:_BLOCK, raters.size]))
-        at, penalty = starts[cut], np.empty_like(q)
-        buf = np.empty(np.diff(at).max())   # block k's links: at[k]:at[k+1]
-        for r, p in zip(rep, penalty):
-            for i, j, a, b in zip(cut[:-1], cut[1:], at[:-1], at[1:]):
-                np.take(r, raters[a:b], out=buf[:b - a], mode="clip")
-                np.maximum.reduceat(buf[:b - a], starts[i:j] - a, out=p[i:j])
-        pos = penalty > 0
-        q[pos] *= np.minimum(penalty[pos], 1.0)
-    trust = (np.maximum(_pearson(cols, q), 0.0, order="C")
-             * (cols.damping if use_damping else 1.0))
+    q = _rr_penalty(cols, q, rep)
+    trust = np.maximum(_pearson(cols, q), 0.0, order="C") * cols.damping
     powered = trust ** cfg.theta
     mass = powered.sum(axis=1, keepdims=True)
     return q, powered * np.divide(trust.sum(axis=1, keepdims=True), mass,
@@ -355,7 +360,7 @@ def rank_projections(graph: RatingGraph, config: RankingConfig,
                      params) -> Iterator[tuple[int, RankingResult]]:
     """(index, rank(project_graph(graph, params[index]))) for each params,
     bit for bit. Cells whose projections group the links alike run as one
-    K-column fixed point, CHUNK at a time; each chunk's results are yielded
+    K-column _fixed_point, CHUNK at a time; each chunk's results are yielded
     as it finishes, so no more than one chunk's are alive at once."""
     groups = {}
     for i, p in enumerate(params):
@@ -364,13 +369,7 @@ def rank_projections(graph: RatingGraph, config: RankingConfig,
     for group in groups.values():
         for s in range(0, len(group), CHUNK):
             at, cells = zip(*group[s:s + CHUNK])
-            if config.algorithm == "mean":
-                results = [RankingResult(np.ones(graph.num_users), q.copy(),
-                                         1, True, 0.0)
-                           for q in _Columns(graph, cells).plain]
-            else:
-                results = _fixed_point(config, graph, cells)
-            yield from zip(at, results)
+            yield from zip(at, _fixed_point(config, graph, cells))
 
 
 def rank(graph: RatingGraph, config: RankingConfig) -> RankingResult:

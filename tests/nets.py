@@ -2,9 +2,10 @@
 exact graph equality, and the rankers' shared fixed point on one graph."""
 
 import numpy as np
+import pytest
 
+from reprank import ranking
 from reprank.graph import RatingGraph
-from reprank.ranking import _fixed_point
 
 
 def random_bipartite(rng, max_users=50, max_items=20) -> RatingGraph:
@@ -28,7 +29,25 @@ def equals(a: RatingGraph, b: RatingGraph) -> bool:
             and np.array_equal(a.ratings, b.ratings))
 
 
-def fixed_point(graph, config, **kw):
-    """One graph through ranking._fixed_point, for the keywords that only it
-    takes: trace, and rr's use_penalty and use_damping."""
-    return _fixed_point(config, graph, [graph.rating_classes], **kw)[0]
+def fixed_point(graph, config, trace=None, use_penalty=True,
+                use_damping=True):
+    """One graph through ranking._fixed_point, with hooks the program has no
+    option for, each a substitution into ranking undone on exit, raise or
+    not: `trace` collects each iteration's (qualities, reputations) copies
+    through a wrapped step; use_penalty=False makes rr's penalty the
+    identity, and use_damping=False its damping factor 1."""
+    with pytest.MonkeyPatch.context() as mp:
+        if trace is not None:
+            step = ranking._STEPS[config.algorithm]
+
+            def traced(cfg, cols, q, rep):
+                q, rep = step(cfg, cols, q, rep)
+                trace.append((q[0].copy(), rep[0].copy()))
+                return q, rep
+
+            mp.setitem(ranking._STEPS, config.algorithm, traced)
+        if not use_penalty:
+            mp.setattr(ranking, "_rr_penalty", lambda cols, q, rep: q)
+        if not use_damping:
+            mp.setattr(ranking._Columns, "damping", 1.0)
+        return ranking._fixed_point(config, graph, [graph.rating_classes])[0]

@@ -2,11 +2,13 @@
 
 import csv
 import json
+import os
 import shutil
+import stat
 
 import pytest
 
-from reprank.cli import main
+from reprank.cli import _atomic_write, main
 from reprank.graph import RatingGraph
 from reprank.metrics import quality_ranks, ranking_score, top_fraction_benchmark
 from reprank.projection import ProjectionParams, project_graph
@@ -43,6 +45,31 @@ def test_synth_writes_reproducible_files(tmp_path, capsys):
     assert t1.read_text() == t2.read_text()
     out = capsys.readouterr().out
     assert "users=" in out and "wrote" in out
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_outputs_take_the_mode_the_umask_gives(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        ratings, truth = run_synth(tmp_path, "a")
+    finally:
+        os.umask(old)
+    for path in (ratings, truth):
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+
+
+def test_a_failed_write_keeps_the_old_output_and_no_temporary(tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_text("old\n")
+
+    def fail(fh):
+        fh.write("new\n")
+        raise RuntimeError("disk full")
+
+    with pytest.raises(RuntimeError, match="disk full"):
+        _atomic_write(path, fail)
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
 def test_ingest_normalizes(tmp_path, capsys):

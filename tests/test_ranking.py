@@ -1,3 +1,5 @@
+import hashlib
+import inspect
 import math
 import pickle
 import random
@@ -398,6 +400,46 @@ def test_trace_collects_iterations():
     np.testing.assert_array_equal(tr[-1][1], res.reputations)
 
 
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_unhooked_fixed_point_is_rank(algorithm):
+    g = random_bipartite(np.random.default_rng(17))
+    config = RankingConfig(algorithm=algorithm)
+    assert_identical(fixed_point(g, config), rank(g, config))
+
+
+def test_hooks_are_undone_on_exit_and_on_raise():
+    originals = (dict(ranking._STEPS), ranking._rr_penalty,
+                 vars(ranking._Columns)["damping"])
+
+    def restored():
+        return (ranking._STEPS == originals[0]
+                and ranking._rr_penalty is originals[1]
+                and vars(ranking._Columns)["damping"] is originals[2])
+
+    g = random_bipartite(np.random.default_rng(18))
+    stripped = fixed_point(g, RankingConfig(max_iterations=5), trace=[],
+                           use_penalty=False, use_damping=False)
+    assert restored()
+    assert not np.array_equal(
+        stripped.qualities,
+        rank(g, RankingConfig(max_iterations=5)).qualities)
+    overflow = RatingGraph.build(2, 2, [0, 0, 1, 1], [0, 1, 0, 1],
+                                 [5, 2, 5, 2])
+    with pytest.raises(ValueError, match="ir iteration 1 gave a non-finite"):
+        fixed_point(overflow, RankingConfig(algorithm="ir", beta=40.0),
+                    trace=[], use_penalty=False, use_damping=False)
+    assert restored()
+
+
+def test_the_driver_and_steps_take_no_options():
+    assert list(inspect.signature(ranking._fixed_point).parameters) == [
+        "cfg", "graph", "cells"]
+    assert set(ranking._STEPS) == {"ir", "cr", "rr"}
+    for step in ranking._STEPS.values():
+        assert list(inspect.signature(step).parameters) == [
+            "cfg", "cols", "q", "rep"]
+
+
 def permute_graph(g, rng):
     pu = rng.permutation(g.num_users)
     pi = rng.permutation(g.num_items)
@@ -700,6 +742,7 @@ def test_merged_groupings_share_the_identity_ones():
     sides = [side for c in cells for side in ranking._operators(g, c)]
     ones = g.rating_classes.cache["ones"]
     assert all(side.pairs.data is ones for side in sides)
+    assert all(np.shares_memory(side.nodes.data, ones) for side in sides)
 
 
 def test_projected_copies_build_operators_once_per_grouping(monkeypatch):
@@ -881,3 +924,22 @@ def test_high_degree_user_with_equal_qualities_takes_the_exact_path():
     assert 0.0 < np.ptp(q1) <= 8 * np.spacing(q1.max())
     s1, s2 = q1.sum(), (q1 * q1).sum()
     assert s2 - s1 * s1 / K <= 1e-2 * s2
+
+
+def test_ranking_outputs_are_pinned():
+    """Every bit of mean, ir, cr and rr results over a grid of projections:
+    qualities, reputations, iterations, convergence flags and residuals. A
+    change that moves this digest says why in CHANGES.md."""
+    g, _ = generate_network(SynthSpec(1500, 1000, 120_000, seed=1))
+    cells = [ProjectionParams(p1, i / 10) for p1 in (0.0, 0.5, 1.0)
+             for i in range(11)]
+    digest = hashlib.sha1()
+    for algorithm in ALGORITHMS:
+        config = RankingConfig(algorithm=algorithm, max_iterations=30)
+        results = dict(rank_projections(g, config, cells))
+        for i in range(len(cells)):
+            r = results[i]
+            digest.update(r.qualities.tobytes() + r.reputations.tobytes())
+            digest.update(repr((r.iterations_used, r.converged,
+                                r.final_residual)).encode())
+    assert digest.hexdigest() == "d204885d65eabce494840c6c1edc559b02a51316"
