@@ -107,8 +107,8 @@ def generate_topology(
     without seeding initial edges. Each urn holds every node once, then
     one entry per link: the urns' tails are the links. Draws: one pair of
     doubles (user, item) per attempt from consecutive
-    rng.random(_URN_CHUNK) blocks, the rest of the last block discarded;
-    0 links and the complete graph draw nothing.
+    rng.random(_URN_CHUNK) blocks read through a memoryview, the rest of
+    the last block discarded; 0 links and the complete graph draw nothing.
 
     Duplicates are found on a bitmap of one bit per possible pair (3 MiB
     at paper scale), or on a set of the links' keys (about 64 bytes per
@@ -129,7 +129,7 @@ def generate_topology(
     see, add_u, add_i = seen.add, user_urn.append, item_urn.append
     ulen, ilen, stop, draws = n_u, n_i, n_u + n_l, None
     while ulen < stop:
-        draws = iter(rng.random(_URN_CHUNK).tolist())
+        draws = iter(memoryview(rng.random(_URN_CHUNK)))
         for bu, bi in zip(draws, draws):
             x, y = int(bu * ulen), int(bi * ilen)
             u = user_urn[x if x < ulen else ulen - 1]

@@ -7,13 +7,16 @@ array) fails here."""
 
 import tracemalloc
 
-from reprank.ranking import RankingConfig, rank
-from reprank.synth import SynthSpec, generate_network
+import numpy as np
 
-# bytes per link on SynthSpec(1500, 1000, 120_000, seed=1), measured:
-# generate_network 62.5, rating_classes 10.0, rank 25.9, rr 10.8
-BOUNDS = {"generate_network": 78.2, "rating_classes": 12.5, "rank": 32.3,
-          "rr, 3 iterations": 13.6}
+from reprank.ranking import RankingConfig, rank
+from reprank.synth import SynthSpec, generate_network, generate_topology
+
+SPEC = SynthSpec(1500, 1000, 120_000, seed=1)
+# bytes per link on SPEC, measured: generate_topology 28.6, generate_network
+# 43.2, rating_classes 10.0, rank 25.5 (25.9 when its bound was set), rr 10.8
+BOUNDS = {"generate_topology": 35.8, "generate_network": 54.0,
+          "rating_classes": 12.5, "rank": 32.3, "rr, 3 iterations": 13.6}
 
 
 def test_quarter_paper_scale_stages_stay_within_their_peaks():
@@ -28,8 +31,9 @@ def test_quarter_paper_scale_stages_stay_within_their_peaks():
 
     tracemalloc.start()
     try:
-        g, _ = stage("generate_network", lambda: generate_network(
-            SynthSpec(1500, 1000, 120_000, seed=1)))
+        stage("generate_topology", lambda: generate_topology(
+            SPEC, np.random.default_rng(SPEC.seed)))
+        g, _ = stage("generate_network", lambda: generate_network(SPEC))
         stage("rating_classes", lambda: g.rating_classes)
         stage("rank", lambda: rank(g, RankingConfig(algorithm="mean")))
         stage("rr, 3 iterations", lambda: rank(

@@ -93,6 +93,7 @@ TOPOLOGY_CASES = [
     ((2000, 2000, 3000), 8),     # sparse: a set, not a bitmap, holds the keys
     ((512, 100, 100), 9),        # 512 pairs per link: still a bitmap
     ((513, 100, 100), 10),       # just over: a set
+    ((20000, 20000, 70_000), 11),  # a set across a block boundary
 ]
 
 
