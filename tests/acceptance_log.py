@@ -2,20 +2,12 @@
 
 The acceptance tests record one line per criterion; `conftest.py` prints
 them in the terminal summary so the verdicts stay visible regardless of
-capture mode. With `REPRANK_ACCEPTANCE_LOG` set to a path, each line is
-also appended to that file, one per line, so two runs' verdicts can be
-diffed. A module of its own, not `conftest.py`, so that the tests import
-it by a name no other test directory's conftest shadows.
+capture mode. A module of its own, not `conftest.py`, so that the tests
+import it by a name no other test directory's conftest shadows.
 """
-
-import os
 
 ACCEPTANCE_LINES: list[str] = []
 
 
 def record_acceptance(line: str) -> None:
     ACCEPTANCE_LINES.append(line)
-    path = os.environ.get("REPRANK_ACCEPTANCE_LOG")
-    if path:
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write(line + "\n")
