@@ -20,8 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import (FORMATS, GENERIC_CSV, BenchmarkSet, IdMap, _open_text,
-                    ingest_ratings, load_benchmark, write_ratings_csv)
+from .graph import (FORMATS, GENERIC_CSV, BenchmarkSet, IdMap, _id_text,
+                    _open_text, ingest_ratings, load_benchmark,
+                    write_ratings_csv)
 from .metrics import (quality_ranks, ranking_score,
                       reputation_error_correlation, top_fraction_benchmark)
 from .projection import ProjectionParams
@@ -49,12 +50,6 @@ def _out_path(args, name: str) -> Path:
     return p if p.is_absolute() else Path(args.outdir) / p
 
 
-def _config_line(args) -> str:
-    cfg = {k: v for k, v in vars(args).items()
-           if k != "func" and v is not None}
-    return "config: " + json.dumps(cfg, sort_keys=True)
-
-
 def _atomic_write(path: Path, write_body) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.parent / f".{path.name}.{os.urandom(6).hex()}"
@@ -75,9 +70,11 @@ def _write_stamped(args, name: str, write_body) -> None:
     """Writes output `name` atomically: the `# config:` line, then the
     body; prints `wrote <path>`."""
     path = _out_path(args, name)
+    cfg = {k: v for k, v in vars(args).items()
+           if k != "func" and v is not None}
 
     def write(fh):
-        fh.write(f"# {_config_line(args)}\n")
+        fh.write(f"# config: {json.dumps(cfg, sort_keys=True)}\n")
         write_body(fh)
 
     _atomic_write(path, write)
@@ -193,6 +190,8 @@ def _rank_projected(args, graph):
 
 def cmd_rank(args) -> int:
     graph, user_map, item_map, _ = _load_source(args)
+    item_id = _id_text(item_map, graph.num_items, "item")
+    user_id = _id_text(user_map, graph.num_users, "user")
     result = _rank_projected(args, graph)
     if not result.converged:
         print(f"warning: not converged after {result.iterations_used} "
@@ -203,15 +202,13 @@ def cmd_rank(args) -> int:
     def write_items(fh):
         fh.write("item_id,quality,rank\n")
         for j in np.argsort(ranks, kind="stable"):
-            ext = item_map.external(int(j)) if item_map else str(int(j))
-            fh.write(f"{ext},{float(result.qualities[j])!r},"
+            fh.write(f"{item_id(j)},{float(result.qualities[j])!r},"
                      f"{float(ranks[j])!r}\n")
 
     def write_users(fh):
         fh.write("user_id,reputation\n")
         for i, rep in enumerate(result.reputations):
-            ext = user_map.external(i) if user_map else str(i)
-            fh.write(f"{ext},{float(rep)!r}\n")
+            fh.write(f"{user_id(i)},{float(rep)!r}\n")
 
     _write_stamped(args, args.out_items, write_items)
     _write_stamped(args, args.out_users, write_users)
@@ -338,101 +335,87 @@ def cmd_table(args) -> int:
 
 # ------------------------------------------------------------------- parser
 
-def _add_common(p):
-    p.add_argument("--outdir",
-                   default=os.environ.get("REPRANK_OUTDIR", "."),
-                   help="output directory (env REPRANK_OUTDIR)")
-    p.add_argument("--verbose", action="store_true")
-
-
-# Flag defaults are read from the dataclass field defaults they feed.
-
-def _add_projection(p):
-    p.add_argument("--p1", type=float, default=ProjectionParams.p1,
-                   help="projection parameter for rating 2")
-    p.add_argument("--p2", type=float, default=ProjectionParams.p2,
-                   help="projection parameter for rating 4")
-
-
-def _add_ranking(p):
-    p.add_argument("--algorithm", choices=ALGORITHMS,
-                   default=RankingConfig.algorithm)
-    p.add_argument("--beta", type=float, default=RankingConfig.beta)
-    p.add_argument("--epsilon", type=float, default=RankingConfig.epsilon)
-    p.add_argument("--theta", type=float, default=RankingConfig.theta)
-    p.add_argument("--delta", type=float, default=RankingConfig.delta)
-    p.add_argument("--max-iter", type=int,
-                   default=RankingConfig.max_iterations)
-
-
-def _add_network(p):
-    """Synthetic network size, spam and seed flags."""
-    p.add_argument("--users", type=int, default=SynthSpec.num_users)
-    p.add_argument("--items", type=int, default=SynthSpec.num_items)
-    p.add_argument("--links", type=int, default=SynthSpec.num_links)
-    p.add_argument("--spam-p", type=float, default=SynthSpec.spam_fraction)
-    p.add_argument("--seed", type=int, default=SynthSpec.seed)
-
-
-def _add_source(p):
-    source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--ratings", help="ratings file (real data source)")
-    source.add_argument("--synth-case", type=int, choices=CASES,
-                        help="synthetic data source: discretization case")
-    p.add_argument("--format", choices=FORMATS, default=GENERIC_CSV)
-    _add_network(p)
-
-
-def _add_benchmark(p):
-    p.add_argument("--benchmark", help="benchmark item list (real data)")
-    p.add_argument("--benchmark-fraction", type=float,
-                   default=DEFAULT_BENCHMARK_FRACTION,
-                   help="top intrinsic-quality fraction (synthetic data)")
-
-
 def _build_parser() -> argparse.ArgumentParser:
+    def flags(*parents):
+        return argparse.ArgumentParser(add_help=False, parents=parents)
+
+    common = flags()
+    common.add_argument("--outdir",
+                        default=os.environ.get("REPRANK_OUTDIR", "."),
+                        help="output directory (env REPRANK_OUTDIR)")
+    common.add_argument("--verbose", action="store_true")
+
+    # Flag defaults are read from the dataclass field defaults they feed.
+
+    proj = flags()
+    proj.add_argument("--p1", type=float, default=ProjectionParams.p1,
+                      help="projection parameter for rating 2")
+    proj.add_argument("--p2", type=float, default=ProjectionParams.p2,
+                      help="projection parameter for rating 4")
+
+    algo = flags()
+    algo.add_argument("--algorithm", choices=ALGORITHMS,
+                      default=RankingConfig.algorithm)
+    algo.add_argument("--beta", type=float, default=RankingConfig.beta)
+    algo.add_argument("--epsilon", type=float, default=RankingConfig.epsilon)
+    algo.add_argument("--theta", type=float, default=RankingConfig.theta)
+    algo.add_argument("--delta", type=float, default=RankingConfig.delta)
+    algo.add_argument("--max-iter", type=int,
+                      default=RankingConfig.max_iterations)
+
+    net = flags()   # synthetic network size, spam and seed
+    net.add_argument("--users", type=int, default=SynthSpec.num_users)
+    net.add_argument("--items", type=int, default=SynthSpec.num_items)
+    net.add_argument("--links", type=int, default=SynthSpec.num_links)
+    net.add_argument("--spam-p", type=float, default=SynthSpec.spam_fraction)
+    net.add_argument("--seed", type=int, default=SynthSpec.seed)
+
+    source = flags(net)
+    either = source.add_mutually_exclusive_group(required=True)
+    either.add_argument("--ratings", help="ratings file (real data source)")
+    either.add_argument("--synth-case", type=int, choices=CASES,
+                        help="synthetic data source: discretization case")
+    source.add_argument("--format", choices=FORMATS, default=GENERIC_CSV)
+
+    bench = flags()
+    bench.add_argument("--benchmark", help="benchmark item list (real data)")
+    bench.add_argument("--benchmark-fraction", type=float,
+                       default=DEFAULT_BENCHMARK_FRACTION,
+                       help="top intrinsic-quality fraction (synthetic data)")
+
     parser = argparse.ArgumentParser(
         prog="reprank",
         description="Reputation-aware ranking on bipartite rating networks.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", help="parse and normalize a ratings file")
+    def command(name, func, summary, *parents):
+        p = sub.add_parser(name, help=summary, parents=[common, *parents])
+        p.set_defaults(func=func)
+        return p
+
+    p = command("ingest", cmd_ingest, "parse and normalize a ratings file")
     p.add_argument("--ratings", required=True)
     p.add_argument("--format", choices=FORMATS, default=GENERIC_CSV)
     p.add_argument("--out", default="ratings.csv")
-    _add_common(p)
-    p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("synth", help="generate a synthetic rating network")
-    _add_network(p)
+    p = command("synth", cmd_synth, "generate a synthetic rating network",
+                net)
     p.add_argument("--case", type=int, choices=CASES, default=SynthSpec.case)
     p.add_argument("--out-ratings", default="ratings.csv")
     p.add_argument("--out-truth", default="truth.json")
-    _add_common(p)
-    p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("rank", help="run a ranking algorithm")
-    _add_source(p)
-    _add_ranking(p)
-    _add_projection(p)
+    p = command("rank", cmd_rank, "run a ranking algorithm",
+                source, algo, proj)
     p.add_argument("--out-items", default="qualities.csv")
     p.add_argument("--out-users", default="reputations.csv")
-    _add_common(p)
-    p.set_defaults(func=cmd_rank)
 
-    p = sub.add_parser("eval", help="rank and score against a benchmark")
-    _add_source(p)
-    _add_ranking(p)
-    _add_projection(p)
-    _add_benchmark(p)
+    p = command("eval", cmd_eval, "rank and score against a benchmark",
+                source, algo, proj, bench)
     p.add_argument("--truth", help="ground-truth file from the synth command")
     p.add_argument("--out", help="optional metrics output file")
-    _add_common(p)
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("sweep", help="metric over the (p1, p2) grid")
-    _add_source(p)
-    _add_ranking(p)
+    p = command("sweep", cmd_sweep, "metric over the (p1, p2) grid",
+                source, algo, bench)
     p.add_argument("--metric", choices=tuple(_METRIC_ALIASES), default="rs")
     p.add_argument("--grid-step", type=float, default=DEFAULT_GRID_STEP)
     p.add_argument("--realizations", type=int, default=None,
@@ -441,18 +424,13 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="freeze p1 (1-D slice over p2)")
     p.add_argument("--fix-p2", type=float, default=None,
                    help="freeze p2 (1-D slice over p1)")
-    _add_benchmark(p)
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", default="sweep.csv")
-    _add_common(p)
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("table", help="original vs projected-optimum table")
+    p = command("table", cmd_table, "original vs projected-optimum table")
     p.add_argument("--sweeps", nargs="+", required=True,
                    help="sweep output CSVs")
     p.add_argument("--out", default="table.csv")
-    _add_common(p)
-    p.set_defaults(func=cmd_table)
 
     return parser
 

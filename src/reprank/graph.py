@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, TextIO
+from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
 
 import numpy as np
 
@@ -202,6 +202,8 @@ class IdMap:
     @classmethod
     def from_ids(cls, ids: Iterable[str]) -> "IdMap":
         ids = tuple(ids)
+        _require(all(isinstance(ext, str) for ext in ids),
+                 "external ids must be strings")
         index = {ext: i for i, ext in enumerate(ids)}
         _require(len(index) == len(ids), "external ids must be unique")
         return cls(ids, index)
@@ -332,6 +334,22 @@ def ingest_ratings(source: str | Path | TextIO, fmt: str = GENERIC_CSV) -> Inges
     return IngestResult(graph, user_map, item_map)
 
 
+def _id_text(id_map: IdMap | None, n: int, side: str,
+             opens_line: bool = True) -> Callable[[int], str]:
+    """The text each of `n` nodes is written as: its map's id, or its index
+    without a map. Refuses a map of the wrong length, an id ingest would not
+    read back, and one led by `#` where the id opens its line."""
+    if id_map is None:
+        return str
+    if len(id_map) != n:
+        raise ValueError(f"{side} map holds {len(id_map)} ids for {n} {side}s")
+    for ext in id_map.ids:
+        if (not ext or any(c in ext for c in ",\n\r") or ext != ext.strip()
+                or (opens_line and ext.startswith("#"))):
+            raise ValueError(f"{side} id {ext!r} cannot be written to a CSV")
+    return id_map.ids.__getitem__
+
+
 def write_ratings_csv(
     graph: RatingGraph,
     dest: str | Path | TextIO,
@@ -345,22 +363,12 @@ def write_ratings_csv(
     itself (empty, with a comma, line break or surrounding whitespace, or a
     user id led by `#`), is an error raised before `dest` is opened.
     """
-    for side, id_map, n in (("user", user_map, graph.num_users),
-                            ("item", item_map, graph.num_items)):
-        if id_map is not None and len(id_map) != n:
-            raise ValueError(f"{side} map holds {len(id_map)} ids for "
-                             f"{n} {side}s")
-        for ext in id_map.ids if id_map else ():
-            if (not ext or any(c in ext for c in ",\n\r") or ext != ext.strip()
-                    or (side == "user" and ext.startswith("#"))):
-                raise ValueError(f"external id {ext!r} cannot be written "
-                                 "to a ratings CSV")
+    uid = _id_text(user_map, graph.num_users, "user")
+    iid = _id_text(item_map, graph.num_items, "item", opens_line=False)
     with _open_text(dest, "w") as stream:
         stream.write("user_id,item_id,rating\n")
         for u, i, r in zip(graph.users, graph.items, graph.ratings):
-            uid = user_map.external(int(u)) if user_map else str(int(u))
-            iid = item_map.external(int(i)) if item_map else str(int(i))
-            stream.write(f"{uid},{iid},{float(r)!r}\n")
+            stream.write(f"{uid(u)},{iid(i)},{float(r)!r}\n")
 
 
 def load_benchmark(source: str | Path | TextIO, item_map: IdMap) -> BenchmarkLoad:

@@ -77,6 +77,8 @@ def reputation_error_correlation(
     _require(r.shape == e.shape and r.ndim == 1,
              "vectors must be 1-D of equal length")
     _require(r.size >= 2, "need at least 2 points")
+    _require(np.isfinite(r).all() and np.isfinite(e).all(),
+             "vectors must be finite")
     if r.max() == r.min() or e.max() == e.min():
         return Correlation(0.0, True)
     dr = r - r.mean()

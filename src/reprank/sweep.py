@@ -10,7 +10,7 @@ networks and cells differ purely through the projection parameters
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import NamedTuple, Sequence
 
@@ -95,6 +95,15 @@ class SweepGrid:
         for name in ("mean", "std", "converged_frac"):
             _require(getattr(self, name).shape == shape,
                      f"{name} shape does not match grid")
+        for name in ("p1", "p2"):   # so finite, and no cell twice
+            axis = getattr(self, f"{name}_values")
+            _require(axis, "empty grid")
+            _require(all(_is_real(v) and 0.0 <= v <= 1.0 for v in axis),
+                     f"{name} value outside [0, 1]")
+            _require(len(set(axis)) == len(axis), f"{name} value repeated")
+        _require(0 <= self.converged_frac.min()       # NaN fails both
+                 and self.converged_frac.max() <= 1,
+                 "converged fraction outside [0, 1]")
         _require(self.n_realizations >= 1, "n_realizations must be >= 1")
         _require(not (self.std < 0).any(), "negative standard deviation")
         _require(self.n_realizations > 1 or not self.std.any(),
@@ -160,7 +169,6 @@ def run_sweep(
     _require(_is_int(threads) and threads >= 1, "threads must be >= 1")
     p1s = tuple(p1_values) if p1_values is not None else grid_values()
     p2s = tuple(p2_values) if p2_values is not None else grid_values()
-    _require(p1s and p2s, "empty grid")
     params = [ProjectionParams(p1, p2) for p1 in p1s for p2 in p2s]
 
     real = isinstance(source, RealSource)
@@ -173,6 +181,10 @@ def run_sweep(
                  "n_realizations must be 1")
     _require(_is_int(n_realizations) and n_realizations >= 1,
              "n_realizations must be >= 1")
+    # the grid's own checks run before any realization does
+    blank = np.zeros((len(p1s), len(p2s)))
+    grid = SweepGrid(p1s, p2s, blank, blank, blank, n_realizations, metric,
+                     config.algorithm, source.tag)
     run = partial(_realization, source, config, params, metric)
     if threads == 1 or n_realizations == 1:
         results = list(map(run, range(n_realizations)))
@@ -182,18 +194,9 @@ def run_sweep(
             results = list(pool.map(run, range(n_realizations)))
     shape = (n_realizations, len(p1s), len(p2s))
     stack, conv_stack = (np.reshape(a, shape) for a in zip(*results))
-
-    return SweepGrid(
-        p1_values=p1s,
-        p2_values=p2s,
-        mean=stack.mean(axis=0),
-        std=stack.std(axis=0, ddof=0),
-        converged_frac=conv_stack.mean(axis=0),
-        n_realizations=n_realizations,
-        metric=metric,
-        algorithm=config.algorithm,
-        tag=source.tag,
-    )
+    return replace(grid, mean=stack.mean(axis=0),
+                   std=stack.std(axis=0, ddof=0),
+                   converged_frac=conv_stack.mean(axis=0))
 
 
 def find_optimum(grid: SweepGrid) -> Optimum:

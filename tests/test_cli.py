@@ -1,6 +1,8 @@
 """End-to-end command tests via the in-process entry point."""
 
+import argparse
 import csv
+import hashlib
 import json
 import os
 import shutil
@@ -8,7 +10,7 @@ import stat
 
 import pytest
 
-from reprank.cli import _atomic_write, main
+from reprank.cli import _atomic_write, _build_parser, main
 from reprank.graph import RatingGraph
 from reprank.metrics import quality_ranks, ranking_score, top_fraction_benchmark
 from reprank.projection import ProjectionParams, project_graph
@@ -105,6 +107,34 @@ def test_ingest_rejects_id_it_cannot_read_back(tmp_path, capsys):
     assert rc == 1
     assert "'a,b' cannot be written" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_rank_rejects_id_it_cannot_write(tmp_path, capsys, monkeypatch):
+    # the row `a,b,...` would hold four fields under a three-field header
+    def ranked(*args):
+        raise AssertionError("a ranking ran")
+    monkeypatch.setattr("reprank.cli._rank_projected", ranked)
+    src = tmp_path / "ml.dat"
+    src.write_text("a,b::100::5::0\n")
+    rc = main(["rank", "--ratings", str(src), "--format", "movielens",
+               "--outdir", str(tmp_path)])
+    assert rc == 1
+    assert "'a,b' cannot be written" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ml.dat"]
+
+
+def test_rank_rejects_an_item_id_that_would_open_its_row(tmp_path, capsys):
+    # every reader of the qualities table skips a row `#x,...` as a comment;
+    # in a ratings file the item id is the second field, so ingest takes it
+    src = tmp_path / "ratings.csv"
+    src.write_text("u,#x,5\nu,y,3\n")
+    assert main(["ingest", "--ratings", str(src),
+                 "--out", str(tmp_path / "out.csv")]) == 0
+    capsys.readouterr()
+    rc = main(["rank", "--ratings", str(src), "--outdir", str(tmp_path)])
+    assert rc == 1
+    assert "item id '#x' cannot be written" in capsys.readouterr().err
+    assert not (tmp_path / "qualities.csv").exists()
 
 
 def test_ingest_error_paths(tmp_path, capsys):
@@ -517,6 +547,24 @@ def test_table_rejects_a_row_n_other_than_the_tag_lines(tmp_path, capsys):
     assert f"{sweep}: a row's n differs from n=2" in capsys.readouterr().err
 
 
+def test_table_rejects_a_cell_no_sweep_gives(tmp_path, capsys):
+    # no sweep writes a p1 of nan or 7, or a converged fraction of 7
+    sweep = sweep_file(tmp_path, "row", "--fix-p2", "0.5")
+    lines = sweep.read_text().splitlines()
+    assert lines[3].startswith("0.0,0.5,") and len(lines) == 3 + 3 + 1
+    for field, text, message in ((0, "nan", "p1 value outside [0, 1]"),
+                                 (0, "7", "p1 value outside [0, 1]"),
+                                 (5, "7.0", "converged fraction outside")):
+        fields = lines[3].split(",")
+        fields[field] = text
+        sweep.write_text("\n".join(
+            lines[:3] + [",".join(fields)] + lines[4:]) + "\n")
+        rc = main(["table", "--sweeps", str(sweep),
+                   "--out", str(tmp_path / "t.csv")])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+
+
 def test_outdir_env_var(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("REPRANK_OUTDIR", str(tmp_path / "artifacts"))
     rc = main(["synth", *SYNTH_ARGS, "--out-ratings", "r.csv",
@@ -524,6 +572,40 @@ def test_outdir_env_var(tmp_path, monkeypatch, capsys):
     assert rc == 0
     assert (tmp_path / "artifacts" / "r.csv").exists()
     assert (tmp_path / "artifacts" / "t.json").exists()
+
+
+def parser_listing():
+    """A line per subcommand, per flag and per exclusive group, with all
+    that parsing reads from it, sorted: help's flag order is not pinned."""
+    parser = _build_parser()
+    [sub] = (a for a in parser._actions
+             if isinstance(a, argparse._SubParsersAction))
+    helps = {a.dest: a.help for a in sub._choices_actions}
+    lines = [f"command required={sub.required}"]
+    for name, p in sub.choices.items():
+        defaults = {k: getattr(v, "__name__", v) for k, v in p._defaults.items()}
+        lines.append(f"{name} help={helps[name]!r} defaults={defaults}")
+        for a in p._actions:
+            lines.append(
+                f"{name} {a.option_strings} {type(a).__name__} dest={a.dest} "
+                f"default={a.default!r} "
+                f"type={getattr(a.type, '__name__', a.type)} "
+                f"choices={a.choices!r} nargs={a.nargs!r} "
+                f"required={a.required} help={a.help!r}")
+        for g in p._mutually_exclusive_groups:
+            lines.append(f"{name} exclusive "
+                         f"{sorted(a.dest for a in g._group_actions)} "
+                         f"required={g.required}")
+    return "\n".join(sorted(lines))
+
+
+def test_subcommand_flags_are_pinned(monkeypatch):
+    # every dest, default, type, choice and help string, so the `# config:`
+    # line each command writes keeps its keys and values
+    monkeypatch.delenv("REPRANK_OUTDIR", raising=False)
+    listing = parser_listing()
+    digest = hashlib.sha1(listing.encode()).hexdigest()
+    assert digest == "8e7234d74622c523124d4db94edef8cc8047792e", listing
 
 
 def header_argv(path):

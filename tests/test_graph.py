@@ -365,6 +365,13 @@ def test_write_rejects_maps_of_the_wrong_length(tmp_path):
     assert out.read_text() == "kept\n"
 
 
+def test_idmap_refuses_ids_that_are_not_strings():
+    # no CSV writer could name a node by them
+    for ids in ([1, 2], ["a", None], [b"a"]):
+        with pytest.raises(ValueError, match="must be strings"):
+            IdMap.from_ids(ids)
+
+
 def test_idmap_rejects_duplicates():
     with pytest.raises(ValueError, match="unique"):
         IdMap.from_ids(["a", "b", "a"])

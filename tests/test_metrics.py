@@ -123,6 +123,20 @@ def test_correlation_input_validation():
         reputation_error_correlation([1.0], [1.0])
 
 
+def test_correlation_refuses_non_finite_vectors():
+    # a NaN would give a coefficient outside [-1, 1]
+    for r, e in (([1.0, np.nan, 2.0], [1.0, 2.0, 3.0]),
+                 ([1.0, 2.0, 3.0], [1.0, np.inf, 3.0])):
+        with pytest.raises(ValueError, match="finite"):
+            reputation_error_correlation(r, e)
+
+
+def test_correlation_whose_denominator_underflows_is_degenerate():
+    # not constant, yet the squared deviations round to zero
+    got = reputation_error_correlation([0.0, 1e-200, 0.0], [1.0, 2.0, 3.0])
+    assert got == Correlation(0.0, True)
+
+
 class _Truth:
     def __init__(self, q):
         self.intrinsic_quality = np.asarray(q, dtype=np.float64)

@@ -59,6 +59,16 @@ def test_sweep_grid_validation():
         grid_of([[0.1, 0.2]], (0.0,), (0.0,))
     with pytest.raises(ValueError, match="metric"):
         grid_of([[0.1]], (0.0,), (0.0,), metric="auc")
+    # no sweep gives a p value outside [0, 1] or twice, or a converged
+    # fraction outside [0, 1]
+    for p1v, p2v, conv, message in (
+            ((np.nan,), (0.0, 1.0), None, "p1 value outside"),
+            ((7.0,), (0.0, 1.0), None, "p1 value outside"),
+            ((0.5,), (0.5, 0.5), None, "p2 value repeated"),
+            ((0.5,), (0.0, 1.0), [[1.0, 7.0]], "converged fraction outside"),
+            ((0.5,), (0.0, 1.0), [[1.0, np.nan]], "converged fraction outside")):
+        with pytest.raises(ValueError, match=message):
+            grid_of([[0.1, 0.2]], p1v, p2v, conv=conv)
     good = grid_of([[0.1, 0.2]], (0.0,), (0.0, 1.0))
     assert good.cell(0.0, 1.0) == (0, 1)
     with pytest.raises(ValueError, match="not on the grid"):
@@ -88,7 +98,7 @@ def test_find_optimum_requires_some_convergence():
         find_optimum(g)
 
 
-def test_run_sweep_validation():
+def test_run_sweep_validation(monkeypatch):
     src = SynthSource(TINY)
     with pytest.raises(ValueError, match="metric"):
         run_sweep(src, CR, metric="auc")
@@ -98,6 +108,13 @@ def test_run_sweep_validation():
         run_sweep(src, CR, p1_values=(1.5,), p2_values=(0.5,))
     with pytest.raises(ValueError, match="empty grid"):
         run_sweep(src, CR, p1_values=(), p2_values=(0.5,))
+    # a repeated value is refused before any realization runs
+    def realization(*args):
+        raise AssertionError("a realization ran")
+    monkeypatch.setattr("reprank.sweep._realization", realization)
+    with pytest.raises(ValueError, match="p1 value repeated"):
+        run_sweep(src, CR, p1_values=(0.5, 0.5), p2_values=(0.5,),
+                  n_realizations=2)
 
 
 @pytest.mark.parametrize("kw, message", [
